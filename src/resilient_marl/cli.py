@@ -174,6 +174,8 @@ def run_sweep(sweep_doc: dict, out_root, jobs: int = 1, quiet: bool = False) -> 
         raise ConfigError("<sweep>", "sweep document needs 'base' and 'runs'")
     base = sweep_doc["base"]
     runs = sweep_doc["runs"]
+    if not isinstance(base, dict):
+        raise ConfigError("<sweep>.base", "expected a mapping")
     if not isinstance(runs, list) or not runs:
         raise ConfigError("<sweep>.runs", "expected a nonempty list of runs")
     base_seed = base.get("seed", 0)
@@ -241,9 +243,14 @@ def main(argv=None) -> int:
             run_experiment(cfg, out_dir, quiet=args.quiet)
         elif args.command == "sweep":
             with open(args.config, "r", encoding="utf-8") as fh:
-                sweep_doc = yaml.safe_load(fh.read())
+                try:
+                    sweep_doc = yaml.safe_load(fh)
+                except yaml.YAMLError as exc:
+                    raise ConfigError("<sweep>", f"unparseable document: {exc}") from exc
             if args.seed is not None and isinstance(sweep_doc, dict):
-                sweep_doc.setdefault("base", {})["seed"] = args.seed
+                base = sweep_doc.setdefault("base", {})
+                if isinstance(base, dict):  # run_sweep rejects any other base
+                    base["seed"] = args.seed
             out_root = Path(args.out) if args.out else (
                 Path(os.environ.get(OUT_ROOT_ENV, "runs")) / f"{Path(args.config).stem}-sweep"
             )

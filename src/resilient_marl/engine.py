@@ -246,12 +246,7 @@ def compute_metrics(agents, mdp: Mdp, window_rewards, t: int, snapshot: bool = F
     """
     policy = JointPolicy(tuple(ag.actor.prob_table() for ag in agents), require_positive=True)
     j_oracle = global_return(mdp, policy)
-    regular = [ag for ag in agents if ag.is_regular]
-    if len(regular) >= 2:
-        stack = np.stack([ag.omega for ag in regular])
-        disagreement = float((stack.max(axis=0) - stack.min(axis=0)).max())
-    else:
-        disagreement = 0.0
+    disagreement = _disagreement(agents)
     window = float(np.mean(window_rewards)) if len(window_rewards) else None
     params = None
     if snapshot:
@@ -263,6 +258,15 @@ def compute_metrics(agents, mdp: Mdp, window_rewards, t: int, snapshot: bool = F
     return MetricsRow(
         t, j_oracle, window, disagreement, tuple(float(ag.avg_reward) for ag in agents), params
     )
+
+
+def _disagreement(agents) -> float:
+    """Largest coordinate-wise spread of the critics over regular agents."""
+    regular = [ag.omega for ag in agents if ag.is_regular]
+    if len(regular) < 2:
+        return 0.0
+    stack = np.stack(regular)
+    return float((stack.max(axis=0) - stack.min(axis=0)).max())
 
 
 def _config_hash(doc) -> str | None:
@@ -326,7 +330,6 @@ def run(sim: Simulation, config_doc: dict | None = None) -> TrajectoryLog:
     stationary_distribution(induced_chain(mdp, JointPolicy.uniform(mdp)))
 
     agents = _initial_agents(sim)
-    regular_ids = [i for i in range(n) if agents[i].is_regular]
     counts = mdp.action_counts
     feats = sim.features
     f = g.trim_f
@@ -490,26 +493,13 @@ def run(sim: Simulation, config_doc: dict | None = None) -> TrajectoryLog:
         should_log = executed % sim.log_interval == 0 or t == sim.n_rounds - 1
         stop = False
         if sim.early_stop is not None:
-            row_now = None
-            if should_log:
-                row_now = compute_metrics(agents, mdp, window, executed, sim.snapshot_params)
-            dis = (
-                row_now.disagreement
-                if row_now is not None
-                else _regular_disagreement(agents, regular_ids)
+            calm = (
+                _disagreement(agents) < sim.early_stop.disagreement
+                and max_actor_move < sim.early_stop.actor_update
             )
-            if dis < sim.early_stop.disagreement and max_actor_move < sim.early_stop.actor_update:
-                calm_rounds += 1
-            else:
-                calm_rounds = 0
+            calm_rounds = calm_rounds + 1 if calm else 0
             stop = calm_rounds >= sim.early_stop.patience
-            if row_now is not None:
-                log.add_row(row_now)
-                window = []
-            elif stop:
-                log.add_row(compute_metrics(agents, mdp, window, executed, sim.snapshot_params))
-                window = []
-        elif should_log:
+        if should_log or stop:
             log.add_row(compute_metrics(agents, mdp, window, executed, sim.snapshot_params))
             window = []
         if stop:
@@ -531,9 +521,3 @@ def run(sim: Simulation, config_doc: dict | None = None) -> TrajectoryLog:
     }
     return log
 
-
-def _regular_disagreement(agents, regular_ids) -> float:
-    if len(regular_ids) < 2:
-        return 0.0
-    stack = np.stack([agents[i].omega for i in regular_ids])
-    return float((stack.max(axis=0) - stack.min(axis=0)).max())

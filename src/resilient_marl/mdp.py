@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csgraph
 
 _ROW_SUM_TOL = 1e-12
 
@@ -194,13 +193,6 @@ class JointPolicy:
             out = (out[:, :, None] * t[:, None, :]).reshape(self.n_states, -1)
         return out
 
-    def prob(self, s: int, joint_action: int) -> float:
-        locals_ = decode_joint_action(joint_action, self.action_counts)
-        p = 1.0
-        for t, a in zip(self.tables, locals_):
-            p *= t[s, a]
-        return p
-
     def matches(self, mdp: Mdp) -> bool:
         return self.n_states == mdp.n_states and self.action_counts == mdp.action_counts
 
@@ -272,31 +264,30 @@ def induced_chain(mdp: Mdp, policy: JointPolicy) -> np.ndarray:
     return np.einsum("sa,sap->sp", joint, mdp.transition)
 
 
-def _chain_period(mask: np.ndarray) -> int:
-    """Period of a strongly connected chain via BFS level differences."""
-    n = mask.shape[0]
-    level = np.full(n, -1)
+def _tree_levels(mask: np.ndarray) -> np.ndarray:
+    """Depth of every state in a search tree grown from state 0 along mask.
+
+    mask[u, v] marks an edge u -> v; states the search never reaches get -1.
+    """
+    level = np.full(mask.shape[0], -1)
     level[0] = 0
-    queue = [0]
-    g = 0
-    while queue:
-        u = queue.pop()
-        for v in np.flatnonzero(mask[u]):
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(v)
-            else:
-                g = math.gcd(g, level[u] + 1 - level[v])
-    return abs(g) if g != 0 else 0
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in np.flatnonzero(mask[u] & (level < 0)):
+            level[v] = level[u] + 1
+            stack.append(v)
+    return level
 
 
-def stationary_distribution(
-    chain: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000
-) -> np.ndarray:
+def stationary_distribution(chain: np.ndarray) -> np.ndarray:
     """Unique stationary distribution d of a row-stochastic matrix (d P = d).
 
-    Uses power iteration (threshold ``tol`` on successive iterates, capped at
-    ``max_iter``) with a dense linear solve as fallback. Raises
+    A chain with a zero entry is first checked structurally: it is
+    irreducible iff a tree search from state 0 reaches every state both
+    along P and along its transpose, and its period is the gcd of
+    level[u] + 1 - level[v] over its edges. d is then the one solution of
+    (P^T - I) d = 0 with the last equation replaced by sum(d) = 1. Raises
     NonErgodicChainError for reducible or periodic chains.
     """
     p = np.asarray(chain, dtype=np.float64)
@@ -308,24 +299,17 @@ def stationary_distribution(
     if p.min() <= 0.0:
         # positivity shortcut fails: check ergodicity structurally
         mask = p > 0.0
-        n_comp, _ = csgraph.connected_components(mask, directed=True, connection="strong")
-        if n_comp > 1:
+        level = _tree_levels(mask)
+        if (level < 0).any() or (_tree_levels(mask.T) < 0).any():
             raise NonErgodicChainError("chain is reducible (not irreducible)")
-        if _chain_period(mask) != 1:
+        u, v = np.nonzero(mask)
+        if np.gcd.reduce(level[u] + 1 - level[v]) != 1:
             raise NonErgodicChainError("chain is periodic")
-    d = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        d_new = d @ p
-        if np.abs(d_new - d).max() < tol:
-            d = d_new
-            break
-        d = d_new
-    else:
-        # slow mixing: solve d (P - I) = 0 with the normalization row appended
-        a = np.vstack([p.T - np.eye(n), np.ones(n)])
-        b = np.zeros(n + 1)
-        b[-1] = 1.0
-        d, *_ = np.linalg.lstsq(a, b, rcond=None)
+    a = p.T - np.eye(n)
+    a[-1] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    d = np.linalg.solve(a, b)
     d = np.maximum(d, 0.0)
     d /= d.sum()
     if np.abs(d @ p - d).max() >= 1e-10:

@@ -305,3 +305,18 @@ class TestSweep:
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o"),
                      "--jobs", "1", "--quiet"]) == 0
         assert (tmp_path / "o" / "sweep_summary.json").exists()
+
+    def test_sweep_yaml_syntax_error_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "sweep.yaml"
+        path.write_text("base: [1\nruns: x\n")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "unparseable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed_args", [[], ["--seed", "3"]])
+    def test_sweep_non_mapping_base_exit_code(self, tmp_path, capsys, seed_args):
+        path = tmp_path / "sweep.yaml"
+        path.write_text("base: [1, 2]\nruns:\n  - overrides: {}\n")
+        argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]
+        assert main(argv + seed_args) == 2
+        assert "<sweep>.base" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -1,8 +1,13 @@
 import bisect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import resilient_marl
 from resilient_marl.mdp import (
     JointPolicy,
     Mdp,
@@ -246,6 +251,44 @@ class TestStationaryDistribution:
     def test_rejects_non_stochastic(self):
         with pytest.raises(ValueError):
             stationary_distribution(np.array([[0.5, 0.2], [0.3, 0.7]]))
+
+    def test_three_cycle_is_periodic(self):
+        p = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(NonErgodicChainError, match="periodic"):
+            stationary_distribution(p)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            # state 0 reaches every state, but nothing returns to it
+            [[0.0, 0.5, 0.5], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]],
+            # every state reaches the absorbing state 0, which reaches nothing else
+            [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]],
+        ],
+        ids=["flow_away_from_0", "flow_into_0"],
+    )
+    def test_one_way_flow_is_reducible(self, p):
+        with pytest.raises(NonErgodicChainError, match="reducible"):
+            stationary_distribution(np.array(p))
+
+    def test_sparse_aperiodic_chain_solves(self):
+        # cycles of length 2 and 3 through state 2: gcd 1
+        p = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
+        d = stationary_distribution(p)
+        assert np.abs(d - np.array([0.2, 0.4, 0.4])).max() < 1e-12
+
+
+def test_import_leaves_scipy_unloaded():
+    code = (
+        "import sys, resilient_marl\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(resilient_marl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestGlobalReturn:
