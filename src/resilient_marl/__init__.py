@@ -27,7 +27,6 @@ from resilient_marl.graphs import (
 )
 from resilient_marl.agents import (
     ActorParams,
-    AgentState,
     LocalFeatures,
     TabularJointFeatures,
     ProjectionJointFeatures,
@@ -42,7 +41,8 @@ from resilient_marl.agents import (
     select_action,
 )
 from resilient_marl.consensus import (
-    ParameterMessage,
+    AgentView,
+    Inbox,
     TrimResult,
     ConsensusError,
     ConstantStrategy,
@@ -62,7 +62,6 @@ from resilient_marl.engine import (
     SimulationError,
     StepSizeSchedule,
     TrajectoryLog,
-    compute_metrics,
     run,
     step_size,
     tabular_features,
@@ -88,18 +87,18 @@ __all__ = [
     "neighborhood", "is_r_local", "is_r_robust", "place_adversaries",
     "metropolis_weights", "metropolis_pair_weight", "weight_matrix",
     # agents
-    "ActorParams", "AgentState", "LocalFeatures", "TabularJointFeatures",
+    "ActorParams", "LocalFeatures", "TabularJointFeatures",
     "ProjectionJointFeatures", "policy_probs", "score", "q_value", "td_error",
     "critic_local_step", "advantage", "actor_step", "avg_reward_update",
     "select_action",
     # consensus
-    "ParameterMessage", "TrimResult", "ConsensusError", "ConstantStrategy",
+    "AgentView", "Inbox", "TrimResult", "ConsensusError", "ConstantStrategy",
     "DriftStrategy", "NoiseStrategy", "SelfishStrategy", "trim",
     "consensus_combine", "adversary_message",
     # engine
     "EarlyStop", "MetricsRow", "NonFiniteParameterError", "SafetyViolationError",
     "Simulation", "SimulationError", "StepSizeSchedule", "TrajectoryLog",
-    "compute_metrics", "run", "step_size", "tabular_features", "projection_features",
+    "run", "step_size", "tabular_features", "projection_features",
     # config
     "ConfigError", "ExperimentConfig", "parse_config", "load_config",
     "config_from_dict", "build_simulation", "resolve_graph",

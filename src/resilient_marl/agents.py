@@ -4,6 +4,12 @@ Policies are softmax over linear logits with one-hot (state, local action)
 features, so the score function has a closed form. Critics are linear in a
 joint-action feature map: tabular one-hot by default, or a seeded random
 projection when a compressed parameter vector is wanted.
+
+Every rule also takes a stack of agents along leading axes (m actors that
+share one action count, m critics) and then returns one result per agent;
+each stacked row is bitwise what the rule gives for that agent alone.
+Row-wise products go through ``np.vecdot``, which matches a per-row
+``np.dot``; an elementwise product summed with ``sum`` or ``einsum`` does not.
 """
 from __future__ import annotations
 
@@ -11,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from resilient_marl.mdp import decode_joint_action, encode_joint_action
+from resilient_marl.mdp import joint_action_radix
 
 _LOGIT_CLIP = 50.0  # applied after max-subtraction; prevents exp underflow blowups
 
@@ -32,15 +38,8 @@ class LocalFeatures:
         v[self.index(s, a)] = 1.0
         return v
 
-    def matrix(self, s: int) -> np.ndarray:
-        """(n_actions, dim) feature rows for every local action at state s."""
-        m = np.zeros((self.n_actions, self.dim))
-        for a in range(self.n_actions):
-            m[a, self.index(s, a)] = 1.0
-        return m
-
     def logits(self, theta: np.ndarray, s: int) -> np.ndarray:
-        return theta[s * self.n_actions : (s + 1) * self.n_actions]
+        return theta[..., s * self.n_actions : (s + 1) * self.n_actions]
 
 
 class TabularJointFeatures:
@@ -59,8 +58,14 @@ class TabularJointFeatures:
         v[self.index(s, a)] = 1.0
         return v
 
-    def q(self, omega: np.ndarray, s: int, a: int) -> float:
-        return float(omega[self.index(s, a)])
+    def q(self, omega: np.ndarray, s: int, a):
+        """Q(s, a): the coordinate of (s, a); see :func:`q_value` for stacks."""
+        idx = self.index(s, a)
+        if np.ndim(idx) == 0:
+            return omega[..., idx]
+        # row r of idx reads row r of omega
+        rows = np.arange(idx.size // idx.shape[-1]).reshape(idx.shape[:-1] + (1,))
+        return omega.reshape(-1, self.dim)[rows, idx]
 
 
 class ProjectionJointFeatures:
@@ -81,13 +86,19 @@ class ProjectionJointFeatures:
     def vector(self, s: int, a: int) -> np.ndarray:
         return self._rows[self.index(s, a)]
 
-    def q(self, omega: np.ndarray, s: int, a: int) -> float:
-        return float(np.dot(self._rows[self.index(s, a)], omega))
+    def q(self, omega: np.ndarray, s: int, a):
+        """Q(s, a): feature row dot omega; see :func:`q_value` for stacks."""
+        rows = self._rows[self.index(s, a)]
+        return np.vecdot(rows, omega if np.ndim(a) == 0 else omega[..., None, :])
 
 
 @dataclass
 class ActorParams:
-    """Softmax policy weights plus the local feature layout."""
+    """Softmax policy weights plus the local feature layout.
+
+    ``theta`` is one flat weight vector, or an (m, dim) stack of m agents
+    that share the layout.
+    """
 
     theta: np.ndarray
     features: LocalFeatures
@@ -98,12 +109,18 @@ class ActorParams:
         return cls(np.zeros(feats.dim), feats)
 
     def prob_table(self) -> np.ndarray:
-        """(n_states, n_actions) probability table for the current weights."""
-        z = self.theta.reshape(self.features.n_states, self.features.n_actions)
-        z = z - z.max(axis=1, keepdims=True)
-        z = np.clip(z, -_LOGIT_CLIP, _LOGIT_CLIP)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
+        """(..., n_states, n_actions) probability table for the current weights."""
+        shape = self.theta.shape[:-1] + (self.features.n_states, self.features.n_actions)
+        return _softmax(self.theta.reshape(shape))
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    # ufunc calls rather than the z.max / np.clip / e.sum wrappers: same
+    # values, a fraction of the per-call cost on these tiny arrays
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    z = np.minimum(np.maximum(z, -_LOGIT_CLIP), _LOGIT_CLIP)
+    e = np.exp(z)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def policy_probs(actor: ActorParams, s: int) -> np.ndarray:
@@ -111,41 +128,52 @@ def policy_probs(actor: ActorParams, s: int) -> np.ndarray:
 
     Max-subtraction plus clipping keeps the exponentials bounded without
     breaking shift invariance; probabilities are strictly positive for any
-    finite weights.
+    finite weights. A stack of actors gives one distribution per row.
     """
-    z = actor.features.logits(actor.theta, s)
-    z = z - z.max()
-    z = np.clip(z, -_LOGIT_CLIP, _LOGIT_CLIP)
-    e = np.exp(z)
-    return e / e.sum()
+    return _softmax(actor.features.logits(actor.theta, s))
 
 
-def score(actor: ActorParams, s: int, a: int) -> np.ndarray:
+def score(actor: ActorParams, s: int, a, probs: np.ndarray | None = None) -> np.ndarray:
     """Gradient of log pi(s, a) wrt theta for the softmax parameterization.
 
     Equals the chosen action's features minus the probability-weighted
-    average of all action features at s.
+    average of all action features at s: minus the probabilities in state
+    s's block, plus one at the chosen action, zero elsewhere. A stack of
+    actors takes one action per row. ``probs`` may pass in
+    ``policy_probs(actor, s)`` when the caller already has it.
     """
-    probs = policy_probs(actor, s)
-    m = actor.features.matrix(s)
-    return m[a] - probs @ m
+    if probs is None:
+        probs = policy_probs(actor, s)
+    n_acts = actor.features.n_actions
+    psi = np.zeros(actor.theta.shape)
+    chosen = np.arange(n_acts) == np.asarray(a)[..., None]
+    psi[..., s * n_acts : (s + 1) * n_acts] = chosen - probs
+    return psi
 
 
-def q_value(omega: np.ndarray, features, s: int, a: int) -> float:
-    """Linear action value: features(s, a) dot omega."""
+def q_value(omega: np.ndarray, features, s: int, a):
+    """Linear action value: features(s, a) dot omega.
+
+    ``omega`` may stack m critics as (m, dim). An int ``a`` then gives one
+    value per critic; an int array ``a`` of shape (m, k) gives the k values
+    of each critic's row of joint actions.
+    """
     return features.q(omega, s, a)
 
 
-def td_error(r: float, mu: float, q_next: float, q_curr: float) -> float:
+def td_error(r, mu, q_next, q_curr):
     """Average-reward temporal difference: r - mu + q_next - q_curr."""
     return r - mu + q_next - q_curr
 
 
-def critic_local_step(omega: np.ndarray, beta: float, delta: float, grad: np.ndarray) -> np.ndarray:
-    """Staged critic value omega + beta * delta * grad; omega is untouched."""
+def critic_local_step(omega: np.ndarray, beta: float, delta, grad: np.ndarray) -> np.ndarray:
+    """Staged critic value omega + beta * delta * grad; omega is untouched.
+
+    A stack of critics takes one TD error per row and a shared ``grad``.
+    """
     if beta < 0:
         raise ValueError("step size must be nonnegative")
-    return omega + beta * delta * grad
+    return omega + (beta * np.asarray(delta))[..., None] * grad
 
 
 def advantage(
@@ -153,63 +181,58 @@ def advantage(
     actor: ActorParams,
     features,
     action_counts,
-    agent_index: int,
+    agent_index,
     s: int,
     joint_action: int,
-) -> float:
+    probs: np.ndarray | None = None,
+):
     """Action value minus the policy-weighted baseline over own actions.
 
     The other agents' slots of the joint action are held fixed while the
-    agent's own slot ranges over its action set.
+    agent's own slot b ranges over its action set; in the mixed-radix
+    layout (agent 0 most significant) that joint index is
+    ``a + (b - digit_i(a)) * radix_i``. A stack of m agents that share an
+    action count passes (m, dim) critics, their actors and an id array.
     """
-    locals_ = decode_joint_action(joint_action, action_counts)
-    own_action = locals_[agent_index]
-    probs = policy_probs(actor, s)
-    n_own = action_counts[agent_index]
-    qs = np.empty(n_own)
-    for b in range(n_own):
-        locals_[agent_index] = b
-        qs[b] = features.q(omega, s, encode_joint_action(locals_, action_counts))
-    return float(qs[own_action] - np.dot(probs, qs))
+    radix = joint_action_radix(action_counts)[agent_index]
+    own = joint_action // radix % np.asarray(action_counts)[agent_index]
+    n_own = actor.features.n_actions
+    subs = joint_action + (np.arange(n_own) - own[..., None]) * radix[..., None]
+    qs = features.q(omega, s, subs)
+    if probs is None:
+        probs = policy_probs(actor, s)
+    # the own-action entry of qs is Q(s, joint_action) itself
+    return features.q(omega, s, joint_action) - np.vecdot(probs, qs)
 
 
-def actor_step(theta: np.ndarray, beta: float, adv: float, psi: np.ndarray) -> np.ndarray:
-    """Policy-gradient ascent step theta + beta * adv * psi."""
+def actor_step(theta: np.ndarray, beta: float, adv, psi: np.ndarray) -> np.ndarray:
+    """Policy-gradient ascent step theta + beta * adv * psi.
+
+    A stack of actors takes one advantage and one score row per agent.
+    """
     if beta < 0:
         raise ValueError("step size must be nonnegative")
-    return theta + beta * adv * psi
+    return theta + (beta * np.asarray(adv))[..., None] * psi
 
 
-def avg_reward_update(mu: float, beta: float, r: float) -> float:
-    """Running-reward tracker: convex combination (1 - beta) * mu + beta * r."""
+def avg_reward_update(mu, beta: float, r):
+    """Running-reward tracker: convex combination (1 - beta) * mu + beta * r.
+
+    Elementwise on arrays, so one call updates every agent's tracker.
+    """
     if not 0.0 <= beta <= 1.0:
         raise ValueError("reward-tracking step size must lie in [0, 1]")
     return (1.0 - beta) * mu + beta * r
 
 
-def select_action(actor: ActorParams, s: int, rng: np.random.Generator) -> int:
-    """Sample a local action from the softmax policy with one uniform draw."""
-    probs = policy_probs(actor, s)
-    a = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    return min(a, probs.size - 1)
+def select_action(actor: ActorParams, s: int, u):
+    """Sample a local action from the softmax policy by inverse CDF.
 
-
-@dataclass
-class AgentState:
-    """Everything one agent owns: policy, critic, reward tracker, role.
-
-    ``omega_staged`` holds the post-critic-step value that gets sent to
-    neighbors; the consensus step overwrites ``omega``. ``strategy`` is
-    None for regular agents and an adversary strategy otherwise.
+    ``u`` is one uniform draw in [0, 1) per actor: a float for one actor,
+    an (m,) array for a stack. The action is the number of cumulative
+    probabilities at or below the draw, capped at the last action.
     """
-
-    agent_id: int
-    actor: ActorParams
-    omega: np.ndarray
-    omega_staged: np.ndarray
-    avg_reward: float = 0.0
-    strategy: object = None
-
-    @property
-    def is_regular(self) -> bool:
-        return self.strategy is None
+    probs = policy_probs(actor, s)
+    below = np.add.accumulate(probs, axis=-1) <= np.asarray(u)[..., None]
+    a = np.minimum(np.add.reduce(below, axis=-1), probs.shape[-1] - 1)
+    return int(a) if a.ndim == 0 else a

@@ -5,9 +5,14 @@ smallest received values are discarded independently, the standard vector
 extension of scalar trimmed consensus. The receiving agent's own value is
 never trimmed and always participates, which keeps every combined
 coordinate inside the convex hull of {own value} U {retained values}.
+
+Trim and combine also run on a group of m receivers at once: k senders
+per receiver, values stacked as (m, k, dim). f=0 is not a special path:
+it is the all-retained mask.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,22 +23,16 @@ class ConsensusError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ParameterMessage:
-    """One neighbor's broadcast: critic payload plus the sender's degree.
+class Inbox:
+    """What a group of m receivers got: k senders each, ascending per row.
 
-    The degree rides along so the receiver can form Metropolis weights
-    without any global knowledge.
+    ``senders`` is (m, k) and ``values`` (m, k, dim); a single receiver
+    drops the leading axis. Listing the senders in ascending id is the
+    caller's part: trim breaks ties and combine sums in that order.
     """
 
-    sender: int
-    payload: np.ndarray
-    sender_degree: int
-
-    def __post_init__(self):
-        payload = np.asarray(self.payload, dtype=np.float64)
-        object.__setattr__(self, "payload", payload)
-        if payload.ndim != 1:
-            raise ValueError("payload must be a flat vector")
+    senders: np.ndarray
+    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -41,50 +40,56 @@ class TrimResult:
     """Outcome of one trim: message stack, survival mask, trim parameter.
 
     ``values`` stacks the payloads ordered by ascending sender id;
-    ``mask[j, k]`` says whether sender j's value survived at coordinate k.
+    ``mask[..., j, k]`` says whether sender j's value survived at
+    coordinate k. A group of receivers adds a leading axis to
+    ``senders``, ``values`` and ``mask``.
     """
 
-    senders: tuple[int, ...]
+    senders: tuple[int, ...] | np.ndarray
     values: np.ndarray
     mask: np.ndarray
     f: int
 
-    def fully_trimmed_senders(self) -> tuple[int, ...]:
-        """Senders whose message was discarded at every coordinate."""
-        if len(self.senders) == 0:
-            return ()
-        dropped = ~self.mask.any(axis=1)
-        return tuple(s for s, d in zip(self.senders, dropped) if d)
+    def fully_trimmed_senders(self) -> list[tuple[int, ...]]:
+        """Per receiver, the senders whose message was discarded at every coordinate.
+
+        One tuple per receiver row, empty where nothing was dropped; a
+        single receiver is a group of one.
+        """
+        k = self.mask.shape[-2]
+        m = math.prod(self.mask.shape[:-2])
+        dropped = ~self.mask.any(axis=-1).reshape(m, k)
+        senders = np.reshape(self.senders, (m, k))
+        out = [()] * m
+        for r in np.flatnonzero(dropped.any(axis=1)):
+            out[r] = tuple(senders[r][dropped[r]].tolist())
+        return out
 
 
-def trim(own: np.ndarray, msgs: list[ParameterMessage], f: int) -> TrimResult:
+def trim(own: np.ndarray, msgs: Inbox, f: int) -> TrimResult:
     """Coordinate-wise removal of the f highest and f lowest received values.
 
     A message survives at coordinate k only if its value there is neither
     among the f largest nor the f smallest of the received values at k
-    (ties broken by ascending sender id). With 2f or fewer messages nothing
-    survives and the agent falls back on its own value alone.
+    (ties broken by ascending sender id, via a stable sort). With 2f or
+    fewer messages nothing survives and the agent falls back on its own
+    value alone; with f=0 everything survives. ``own`` is (dim,) for one
+    receiver or (m, dim) for a group.
     """
     if f < 0:
         raise ValueError("trim parameter must be nonnegative")
-    own = np.asarray(own, dtype=np.float64)
-    ordered = sorted(msgs, key=lambda m: m.sender)
-    senders = tuple(m.sender for m in ordered)
-    k = len(ordered)
-    if k == 0:
-        return TrimResult((), np.empty((0, own.size)), np.empty((0, own.size), dtype=bool), f)
-    values = np.stack([m.payload for m in ordered])
-    if values.shape[1] != own.size:
+    values = msgs.values
+    if values.shape[-1] != np.shape(own)[-1]:
         raise ValueError("payload length does not match own parameter length")
-    if k <= 2 * f:
-        return TrimResult(senders, values, np.zeros_like(values, dtype=bool), f)
-    if f == 0:
-        return TrimResult(senders, values, np.ones_like(values, dtype=bool), f)
-    order = np.argsort(values, axis=0, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(k)[:, None], axis=0)
-    mask = (ranks >= f) & (ranks < k - f)
-    return TrimResult(senders, values, mask, f)
+    k = values.shape[-2]
+    mask = np.full(values.shape, f == 0)
+    if 2 * f < k and f > 0:
+        # the senders at sorted positions f .. k-f-1 survive
+        order = np.argsort(values, axis=-2, kind="stable")
+        where = list(np.indices(values.shape[:-2] + (k - 2 * f, values.shape[-1]), sparse=True))
+        where[-2] = order[..., f : k - f, :]
+        mask[tuple(where)] = True
+    return TrimResult(msgs.senders, values, mask, f)
 
 
 def consensus_combine(
@@ -92,28 +97,42 @@ def consensus_combine(
 ) -> np.ndarray:
     """Convex combination of the own value with the surviving neighbor values.
 
-    ``pair_weights[j]`` is the Metropolis weight for sender j (full-graph
-    degrees). Per coordinate, the self-weight absorbs the mass of whatever
-    was trimmed there, so each output coordinate is a proper convex
-    combination of {own} U {survivors at that coordinate}.
+    ``pair_weights[..., j]`` is the Metropolis weight for sender j
+    (full-graph degrees), shaped like ``trimmed.senders``. Per coordinate,
+    the self-weight absorbs the mass of whatever was trimmed there, so each
+    output coordinate is a proper convex combination of {own} U {survivors
+    at that coordinate}. Senders are summed in ascending id order.
     """
     own = np.asarray(own, dtype=np.float64)
     pair_weights = np.asarray(pair_weights, dtype=np.float64)
-    if pair_weights.shape != (len(trimmed.senders),):
+    if pair_weights.shape != np.shape(trimmed.senders):
         raise ConsensusError("need exactly one pairwise weight per message")
     if (pair_weights < 0).any():
         raise ConsensusError("pairwise weights must be nonnegative")
-    weighted_mask = pair_weights[:, None] * trimmed.mask
-    neighbor_weight = weighted_mask.sum(axis=0)
+    weighted_mask = pair_weights[..., None] * trimmed.mask
+    neighbor_weight = weighted_mask.sum(axis=-2)
     if (neighbor_weight > 1.0 + 1e-9).any():
         raise ConsensusError(
             "pairwise weights of the survivors exceed 1; rows would not be stochastic"
         )
     self_weight = 1.0 - neighbor_weight
-    return self_weight * own + (weighted_mask * trimmed.values).sum(axis=0)
+    return self_weight * own + (weighted_mask * trimmed.values).sum(axis=-2)
 
 
 # -- adversary strategies ---------------------------------------------
+
+
+@dataclass(frozen=True)
+class AgentView:
+    """What a message strategy reads of the agent it speaks for.
+
+    ``omega_staged`` is the agent's post-critic-step value, the one an
+    honest agent would send this round.
+    """
+
+    agent_id: int
+    omega_staged: np.ndarray
+    is_regular: bool = False
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,36 @@
 
 Each round performs, in order: environment transition and reward
 observation (with the running-reward update), action selection at the new
-state, the per-agent TD/critic/advantage/actor updates, message exchange,
-and the trim-and-mix consensus step. Regular agents follow the full
-update; adversarial agents keep their own staged critic value and send
-whatever their strategy fabricates.
+state, the TD/critic/advantage/actor updates, message exchange, and the
+trim-and-mix consensus step. Regular agents follow the full update;
+adversarial agents keep their own staged critic value and send whatever
+their strategy fabricates.
 
-Determinism contract: a run consumes exactly one uniform draw for the
-environment transition and one per agent (ascending id) for action
-selection each round, all from ``numpy.random.default_rng(seed)``; the
-initial joint action consumes one draw per agent before round 0. Optional
-reward noise consumes one extra vector draw right after the transition.
+Every step is a whole-network array pass through the op-layer rules of
+``agents`` and ``consensus``, called once per block or group (the
+adversary payloads once per adversary, in ascending id):
+
+- critics: one (n, dim) array, row i for agent i;
+- actors: one ``ActorParams`` stack of shape (m, S * c) per distinct
+  action count c, holding the m agents with that count in ascending id
+  order (not padded to a common count, which would change the softmax
+  sums' bits);
+- consensus: per graph phase, the regular agents with neighbours grouped
+  by degree k, each group with an (m, k) neighbour-index matrix in
+  ascending sender id, its Metropolis pair weights and a regular-sender
+  mask. A round gathers the group's payloads as (m, k, dim), trims them
+  (f=0 is the all-retained mask), combines, and checks the hull.
+
+Determinism contract: a run draws from ``numpy.random.default_rng(seed)``
+only. Before round 0 it takes one ``random(n)`` vector for the initial
+joint action; each round then takes one uniform draw for the environment
+transition, one ``random(n)`` vector for action selection (entry i goes
+to agent i whatever its block), and, with reward noise on, one extra
+vector right after the transition. A ``random(n)`` vector is bitwise the
+same as n scalar draws, so this equals one draw per agent in ascending
+id. Sums over senders run in ascending sender id, and row-wise products
+use ``np.vecdot``, so every agent's values are bitwise those of a
+one-agent-at-a-time loop (pinned by ``tests/reference_algorithm.py``).
 """
 from __future__ import annotations
 
@@ -23,21 +43,24 @@ import numpy as np
 
 from resilient_marl.agents import (
     ActorParams,
-    AgentState,
+    LocalFeatures,
     ProjectionJointFeatures,
     TabularJointFeatures,
     actor_step,
+    advantage,
+    avg_reward_update,
     critic_local_step,
     policy_probs,
+    q_value,
+    score,
     select_action,
     td_error,
 )
-from resilient_marl.consensus import ParameterMessage, adversary_message, consensus_combine, trim
+from resilient_marl.consensus import AgentView, Inbox, adversary_message, consensus_combine, trim
 from resilient_marl.graphs import GraphSchedule, is_r_local, metropolis_pair_weight
 from resilient_marl.mdp import (
     JointPolicy,
     Mdp,
-    decode_joint_action,
     encode_joint_action,
     global_return,
     induced_chain,
@@ -148,6 +171,10 @@ class MetricsRow:
         return rec
 
 
+def _json_line(rec: dict) -> str:
+    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+
 @dataclass
 class TrajectoryLog:
     """Append-only run record: metadata, metric rows, trim events.
@@ -170,22 +197,30 @@ class TrajectoryLog:
         self.trim_events.append((t, agent, tuple(senders)))
 
     def iter_records(self):
+        """Metadata, then rows and trim events merged by round, one at a time.
+
+        Both lists are already in round order; a row goes before the trim
+        events of its round (``row.t <= event t``).
+        """
         yield {"kind": "meta", **self.metadata}
-        events = [
-            {"kind": "trim", "t": t, "agent": agent, "trimmed": list(senders)}
-            for t, agent, senders in self.trim_events
-        ]
-        merged = [r.to_record() for r in self.rows] + events
-        merged.sort(key=lambda rec: (rec["t"], rec["kind"] != "metrics"))
-        yield from merged
+        rows = self.rows
+        next_row = 0
+        for t, agent, senders in self.trim_events:
+            while next_row < len(rows) and rows[next_row].t <= t:
+                yield rows[next_row].to_record()
+                next_row += 1
+            yield {"kind": "trim", "t": t, "agent": agent, "trimmed": list(senders)}
+        for row in rows[next_row:]:
+            yield row.to_record()
 
     def to_json_lines(self) -> list[str]:
-        return [json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in self.iter_records()]
+        return [_json_line(rec) for rec in self.iter_records()]
 
     def write_jsonl(self, path) -> None:
+        """Write one record per line as it is produced, not the whole list at once."""
         with open(path, "w", encoding="utf-8") as fh:
-            for line in self.to_json_lines():
-                fh.write(line + "\n")
+            for rec in self.iter_records():
+                fh.write(_json_line(rec) + "\n")
 
     @property
     def final_row(self) -> MetricsRow:
@@ -226,47 +261,72 @@ def projection_features(mdp: Mdp, dim: int, seed: int = 0) -> ProjectionJointFea
     return ProjectionJointFeatures(mdp.n_states, mdp.n_joint_actions, dim, seed)
 
 
-def _initial_agents(sim: Simulation) -> list[AgentState]:
-    mdp = sim.mdp
-    dim = sim.features.dim
-    agents = []
-    for i in range(mdp.n_agents):
-        actor = ActorParams.zeros(mdp.n_states, mdp.action_counts[i])
-        agents.append(
-            AgentState(i, actor, np.zeros(dim), np.zeros(dim), 0.0, sim.strategies.get(i))
-        )
-    return agents
+@dataclass
+class NetworkState:
+    """Every agent's parameters, stacked for whole-network array passes.
+
+    ``blocks`` holds one (ids, actors) pair per distinct action count: the
+    ascending ids of the agents with that count and an ``ActorParams``
+    stack of their weights, one row per id. ``omega`` is the (n, dim)
+    critic array, ``mus`` the running-reward trackers and ``regular``
+    marks the agents that are not adversarial.
+    """
+
+    blocks: list
+    omega: np.ndarray
+    mus: np.ndarray
+    regular: np.ndarray
+
+    @classmethod
+    def zeros(cls, sim: Simulation) -> "NetworkState":
+        mdp = sim.mdp
+        counts = np.array(mdp.action_counts)
+        blocks = []
+        for c in sorted(set(mdp.action_counts)):
+            ids = np.flatnonzero(counts == c)
+            feats = LocalFeatures(mdp.n_states, c)
+            blocks.append((ids, ActorParams(np.zeros((ids.size, feats.dim)), feats)))
+        n = mdp.n_agents
+        regular = np.ones(n, dtype=bool)
+        regular[list(sim.strategies)] = False
+        return cls(blocks, np.zeros((n, sim.features.dim)), np.zeros(n), regular)
+
+    def per_agent(self, fn) -> list:
+        """``fn(actors)`` evaluated per block and split into a list in agent order."""
+        out = [None] * self.omega.shape[0]
+        for ids, actors in self.blocks:
+            for i, value in zip(ids, fn(actors)):
+                out[i] = value
+        return out
+
+    def thetas(self) -> list[list[float]]:
+        return self.per_agent(lambda actors: actors.theta.tolist())
 
 
-def compute_metrics(agents, mdp: Mdp, window_rewards, t: int, snapshot: bool = False) -> MetricsRow:
+def compute_metrics(
+    state: NetworkState, mdp: Mdp, window_rewards, t: int, snapshot: bool = False
+) -> MetricsRow:
     """Exact objective of the current joint policy plus consensus progress.
 
     The policy is assembled from every agent's actor, adversaries
     included; disagreement covers regular agents only.
     """
-    policy = JointPolicy(tuple(ag.actor.prob_table() for ag in agents), require_positive=True)
-    j_oracle = global_return(mdp, policy)
-    disagreement = _disagreement(agents)
+    tables = state.per_agent(lambda actors: actors.prob_table())
+    j_oracle = global_return(mdp, JointPolicy(tuple(tables), require_positive=True))
+    disagreement = _disagreement(state.omega[state.regular])
     window = float(np.mean(window_rewards)) if len(window_rewards) else None
+    avg_rewards = state.mus.tolist()
     params = None
     if snapshot:
-        params = {
-            "theta": [ag.actor.theta.tolist() for ag in agents],
-            "omega": [ag.omega.tolist() for ag in agents],
-            "avg_reward": [float(ag.avg_reward) for ag in agents],
-        }
-    return MetricsRow(
-        t, j_oracle, window, disagreement, tuple(float(ag.avg_reward) for ag in agents), params
-    )
+        params = {"theta": state.thetas(), "omega": state.omega.tolist(), "avg_reward": avg_rewards}
+    return MetricsRow(t, j_oracle, window, disagreement, tuple(avg_rewards), params)
 
 
-def _disagreement(agents) -> float:
-    """Largest coordinate-wise spread of the critics over regular agents."""
-    regular = [ag.omega for ag in agents if ag.is_regular]
-    if len(regular) < 2:
+def _disagreement(omegas: np.ndarray) -> float:
+    """Largest coordinate-wise spread of a stack of critics."""
+    if len(omegas) < 2:
         return 0.0
-    stack = np.stack(regular)
-    return float((stack.max(axis=0) - stack.min(axis=0)).max())
+    return float((omegas.max(axis=0) - omegas.min(axis=0)).max())
 
 
 def _config_hash(doc) -> str | None:
@@ -275,34 +335,52 @@ def _config_hash(doc) -> str | None:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def _hull_check(own, trimmed, combined, t, agent):
-    lo = np.where(trimmed.mask, trimmed.values, np.inf).min(axis=0, initial=np.inf)
-    hi = np.where(trimmed.mask, trimmed.values, -np.inf).max(axis=0, initial=-np.inf)
-    lo = np.minimum(lo, own)
-    hi = np.maximum(hi, own)
-    if ((combined < lo - _HULL_TOL) | (combined > hi + _HULL_TOL)).any():
-        raise SafetyViolationError(
-            f"round {t}: agent {agent} escaped the convex hull of its retained values"
-        )
+@dataclass(frozen=True)
+class _ReceiverGroup:
+    """Regular agents of one phase that share a degree k > 0.
 
-
-def _substitution_tables(counts):
-    """Joint indices reachable by swapping one agent's slot of a joint action.
-
-    subs[i][a, b] is the joint index of action a with agent i's local
-    action replaced by b; used to vectorize the advantage baseline.
+    ``nbr`` (m, k) lists each receiver's senders in ascending id,
+    ``pair_w`` their Metropolis weights and ``regular`` which are regular.
     """
-    n_joint = int(np.prod(counts))
-    subs = []
-    for i, n_own in enumerate(counts):
-        table = np.empty((n_joint, n_own), dtype=np.int64)
-        for a in range(n_joint):
-            locals_ = decode_joint_action(a, counts)
-            for b in range(n_own):
-                locals_[i] = b
-                table[a, b] = encode_joint_action(locals_, counts)
-        subs.append(table)
-    return subs
+
+    ids: np.ndarray
+    nbr: np.ndarray
+    pair_w: np.ndarray
+    regular: np.ndarray
+
+
+def _receiver_groups(g: GraphSchedule) -> list[list[_ReceiverGroup]]:
+    """Per phase, the regular agents with neighbours, grouped by degree."""
+    regular = [i for i in range(g.n_nodes) if i not in g.adversary_set]
+    phases = []
+    for p in range(g.n_phases):
+        deg = g.degrees(p)
+        groups = []
+        for k in sorted({int(deg[i]) for i in regular} - {0}):
+            ids = np.array([i for i in regular if deg[i] == k])
+            nbr = np.array([g.neighbors(int(i), p) for i in ids])
+            pair_w = np.array([[metropolis_pair_weight(k, int(deg[j])) for j in row] for row in nbr])
+            is_regular = ~np.isin(nbr, list(g.adversary_set))
+            groups.append(_ReceiverGroup(ids, nbr, pair_w, is_regular))
+        phases.append(groups)
+    return phases
+
+
+def _escapes_hull(own, values, keep, combined) -> np.ndarray:
+    """Per receiver: does ``combined`` leave [min, max] of own and the kept values?"""
+    # a value not kept is replaced by own, which the hull holds anyway
+    held = np.where(keep, values, own[..., None, :])
+    lo = np.minimum(held.min(axis=-2), own)
+    hi = np.maximum(held.max(axis=-2), own)
+    return ((combined < lo - _HULL_TOL) | (combined > hi + _HULL_TOL)).any(axis=-1)
+
+
+def _select_actions(state: NetworkState, s: int, u: np.ndarray) -> np.ndarray:
+    """Every agent's local action at s; agent i consumes draw u[i]."""
+    actions = np.empty(u.size, dtype=np.int64)
+    for ids, actors in state.blocks:
+        actions[ids] = select_action(actors, s, u[ids])
+    return actions
 
 
 def run(sim: Simulation, config_doc: dict | None = None) -> TrajectoryLog:
@@ -329,33 +407,13 @@ def run(sim: Simulation, config_doc: dict | None = None) -> TrajectoryLog:
     # ergodicity precheck; raises NonErgodicChainError on a bad model
     stationary_distribution(induced_chain(mdp, JointPolicy.uniform(mdp)))
 
-    agents = _initial_agents(sim)
+    state = NetworkState.zeros(sim)
     counts = mdp.action_counts
     feats = sim.features
     f = g.trim_f
     dim = feats.dim
-    n_joint = mdp.n_joint_actions
-    tabular = isinstance(feats, TabularJointFeatures)
-    subs = _substitution_tables(counts)
-
-    # per-phase topology tables: neighbors, degrees, pairwise weights, and
-    # the untrimmed self-weight (accumulated in ascending-neighbor order so
-    # the no-trim fast path reproduces the general combine exactly)
-    phase_tables = []
-    for p in range(g.n_phases):
-        deg = g.degrees(p)
-        nbrs = [g.neighbors(i, p) for i in range(n)]
-        pair_w = [
-            np.array([metropolis_pair_weight(int(deg[i]), int(deg[j])) for j in nbrs[i]])
-            for i in range(n)
-        ]
-        self_w = []
-        for i in range(n):
-            acc = 0.0
-            for w in pair_w[i]:
-                acc = acc + float(w)
-            self_w.append(1.0 - acc)
-        phase_tables.append((nbrs, deg, pair_w, self_w))
+    phase_groups = _receiver_groups(g)
+    adversaries = sorted(sim.strategies)
 
     rng = np.random.default_rng(np.random.SeedSequence(sim.seed))
     log = TrajectoryLog(
@@ -371,11 +429,10 @@ def run(sim: Simulation, config_doc: dict | None = None) -> TrajectoryLog:
         }
     )
 
-    mus = np.zeros(n)
     s = sim.initial_state
-    a_locals = [select_action(agents[i].actor, s, rng) for i in range(n)]
-    a = encode_joint_action(a_locals, counts)
-    log.add_row(compute_metrics(agents, mdp, [], 0, sim.snapshot_params))
+    a_locals = _select_actions(state, s, rng.random(n))
+    a = encode_joint_action(a_locals.tolist(), counts)
+    log.add_row(compute_metrics(state, mdp, [], 0, sim.snapshot_params))
 
     window: list[float] = []
     calm_rounds = 0
@@ -390,100 +447,71 @@ def run(sim: Simulation, config_doc: dict | None = None) -> TrajectoryLog:
             r = mdp.sample_rewards(s, a, rng, sim.reward_noise)
         else:
             r = mdp.rewards_at(s, a)
-        mus_prev = mus
-        mus = (1.0 - beta_w) * mus + beta_w * r
+        mus_prev = state.mus
+        state.mus = avg_reward_update(mus_prev, beta_w, r)
 
-        a_next_locals = [select_action(agents[i].actor, s_next, rng) for i in range(n)]
-        a_next = encode_joint_action(a_next_locals, counts)
+        a_next_locals = _select_actions(state, s_next, rng.random(n))
+        a_next = encode_joint_action(a_next_locals.tolist(), counts)
 
-        # local critic and actor updates (every agent, adversaries included).
-        # Tabular critics take coordinate-lookup shortcuts that compute the
-        # same values as the op-layer formulas (enforced bitwise by the
-        # straight-line reference test).
-        grad = feats.vector(s, a)
+        # local critic and actor updates (every agent, adversaries included)
+        omega = state.omega
+        delta = td_error(r, mus_prev, q_value(omega, feats, s_next, a_next), q_value(omega, feats, s, a))
+        staged = critic_local_step(omega, beta_w, delta, feats.vector(s, a))
         max_actor_move = 0.0
-        q_base = s * n_joint
-        for i in range(n):
-            ag = agents[i]
-            om = ag.omega
-            if tabular:
-                q_curr = float(om[q_base + a])
-                q_next = float(om[s_next * n_joint + a_next])
-                qs = om[q_base + subs[i][a]]
-            else:
-                q_curr = feats.q(om, s, a)
-                q_next = feats.q(om, s_next, a_next)
-                qs = np.array([feats.q(om, s, int(x)) for x in subs[i][a]])
-            delta = td_error(float(r[i]), float(mus_prev[i]), q_next, q_curr)
-            ag.omega_staged = critic_local_step(om, beta_w, delta, grad)
-            probs = policy_probs(ag.actor, s)
-            adv = float(qs[a_locals[i]] - np.dot(probs, qs))
-            n_acts = counts[i]
-            psi = np.zeros(n_acts * mdp.n_states)
-            blk = s * n_acts
-            psi[blk : blk + n_acts] = -probs
-            psi[blk + a_locals[i]] += 1.0
-            new_theta = actor_step(ag.actor.theta, beta_t, adv, psi)
+        for ids, actors in state.blocks:
+            probs = policy_probs(actors, s)
+            adv = advantage(omega[ids], actors, feats, counts, ids, s, a, probs)
+            psi = score(actors, s, a_locals[ids], probs)
+            new_theta = actor_step(actors.theta, beta_t, adv, psi)
             if sim.early_stop is not None:
-                max_actor_move = max(max_actor_move, float(np.abs(new_theta - ag.actor.theta).max()))
-            ag.actor.theta = new_theta
+                max_actor_move = max(max_actor_move, float(np.abs(new_theta - actors.theta).max()))
+            actors.theta = new_theta
 
         # message exchange over the round-t edges
-        nbrs, deg, pair_w, self_w = phase_tables[t % g.n_phases]
-        payloads = [
-            ag.omega_staged if ag.is_regular else adversary_message(ag.strategy, ag, t, dim)
-            for ag in agents
-        ]
+        payloads = staged
+        if adversaries:
+            payloads = staged.copy()
+            for i in adversaries:
+                payloads[i] = adversary_message(sim.strategies[i], AgentView(i, staged[i]), t, dim)
 
-        # trim-and-mix for regular agents; adversaries keep their own value
-        new_omegas = [None] * n
-        for i in range(n):
-            ag = agents[i]
-            own = ag.omega_staged
-            if not ag.is_regular:
-                new_omegas[i] = own
-                continue
-            if not nbrs[i]:
-                new_omegas[i] = own
-                continue
-            if f == 0:
-                # everything is retained: one plain Metropolis-weighted round
-                values = np.stack([payloads[j] for j in nbrs[i]])
-                combined = self_w[i] * own + (pair_w[i][:, None] * values).sum(axis=0)
-                lo = np.minimum(values.min(axis=0), own)
-                hi = np.maximum(values.max(axis=0), own)
-                if ((combined < lo - _HULL_TOL) | (combined > hi + _HULL_TOL)).any():
-                    raise SafetyViolationError(
-                        f"round {t}: agent {i} escaped the convex hull of its retained values"
-                    )
-            else:
-                msgs = [ParameterMessage(j, payloads[j], int(deg[j])) for j in nbrs[i]]
-                trimmed = trim(own, msgs, f)
-                combined = consensus_combine(own, trimmed, pair_w[i])
-                _hull_check(own, trimmed, combined, t, i)
-                if sim.record_trims:
-                    dropped = trimmed.fully_trimmed_senders()
-                    if dropped:
-                        log.add_trim_event(t, i, dropped)
+        # trim-and-mix for regular agents; adversaries and isolated agents
+        # keep their staged value
+        new_omega = staged.copy()
+        violations = []
+        events = []
+        for grp in phase_groups[t % g.n_phases]:
+            own = staged[grp.ids]
+            values = payloads[grp.nbr]
+            trimmed = trim(own, Inbox(grp.nbr, values), f)
+            combined = consensus_combine(own, trimmed, grp.pair_w)
+            escaped = _escapes_hull(own, values, trimmed.mask, combined)
+            violations += [(int(i), 0) for i in grp.ids[escaped]]
             if sim.check_regular_hull:
-                reg_vals = [own] + [payloads[j] for j in nbrs[i] if agents[j].is_regular]
-                stack = np.stack(reg_vals)
-                lo, hi = stack.min(axis=0), stack.max(axis=0)
-                if ((combined < lo - _HULL_TOL) | (combined > hi + _HULL_TOL)).any():
-                    raise SafetyViolationError(
-                        f"round {t}: agent {i} left the span of regular values"
-                    )
-            new_omegas[i] = combined
-        for i in range(n):
-            agents[i].omega = new_omegas[i]
-            agents[i].avg_reward = float(mus[i])
+                strayed = _escapes_hull(own, values, grp.regular[..., None], combined)
+                violations += [(int(i), 1) for i in grp.ids[strayed]]
+            if sim.record_trims:
+                dropped = trimmed.fully_trimmed_senders()
+                events += [(int(i), senders) for i, senders in zip(grp.ids, dropped) if senders]
+            new_omega[grp.ids] = combined
+        if violations:
+            agent, kind = min(violations)
+            if kind == 0:
+                raise SafetyViolationError(
+                    f"round {t}: agent {agent} escaped the convex hull of its retained values"
+                )
+            raise SafetyViolationError(f"round {t}: agent {agent} left the span of regular values")
+        for agent, senders in sorted(events):
+            log.add_trim_event(t, agent, senders)
+        state.omega = new_omega
 
-        for i in range(n):
-            if not (
-                np.isfinite(agents[i].omega).all() and np.isfinite(agents[i].actor.theta).all()
-            ):
-                raise NonFiniteParameterError(f"round {t}: agent {i} has non-finite parameters")
-        if not np.isfinite(mus).all():
+        finite = np.isfinite(new_omega).all(axis=1)
+        for ids, actors in state.blocks:
+            finite[ids] &= np.isfinite(actors.theta).all(axis=1)
+        if not finite.all():
+            raise NonFiniteParameterError(
+                f"round {t}: agent {int(np.argmin(finite))} has non-finite parameters"
+            )
+        if not np.isfinite(state.mus).all():
             raise NonFiniteParameterError(f"round {t}: non-finite running reward")
 
         window.append(float(r.mean()))
@@ -494,30 +522,30 @@ def run(sim: Simulation, config_doc: dict | None = None) -> TrajectoryLog:
         stop = False
         if sim.early_stop is not None:
             calm = (
-                _disagreement(agents) < sim.early_stop.disagreement
+                _disagreement(new_omega[state.regular]) < sim.early_stop.disagreement
                 and max_actor_move < sim.early_stop.actor_update
             )
             calm_rounds = calm_rounds + 1 if calm else 0
             stop = calm_rounds >= sim.early_stop.patience
         if should_log or stop:
-            log.add_row(compute_metrics(agents, mdp, window, executed, sim.snapshot_params))
+            log.add_row(compute_metrics(state, mdp, window, executed, sim.snapshot_params))
             window = []
         if stop:
             break
 
     log.metadata["rounds_executed"] = executed
+    thetas = state.thetas()
     log.final_params = {
         "t": executed,
         "agents": [
             {
-                "id": ag.agent_id,
-                "role": "regular" if ag.is_regular else "adversarial",
-                "theta": ag.actor.theta.tolist(),
-                "omega": ag.omega.tolist(),
-                "avg_reward": float(ag.avg_reward),
+                "id": i,
+                "role": "regular" if state.regular[i] else "adversarial",
+                "theta": thetas[i],
+                "omega": state.omega[i].tolist(),
+                "avg_reward": float(state.mus[i]),
             }
-            for ag in agents
+            for i in range(n)
         ],
     }
     return log
-

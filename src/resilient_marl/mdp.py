@@ -28,6 +28,11 @@ def encode_joint_action(local_actions, action_counts) -> int:
     return idx
 
 
+def joint_action_radix(action_counts) -> np.ndarray:
+    """Place value of each agent's slot in a joint index: the product of the later counts."""
+    return np.array([math.prod(action_counts[i + 1 :]) for i in range(len(action_counts))])
+
+
 def decode_joint_action(joint_action: int, action_counts) -> list[int]:
     """Inverse of :func:`encode_joint_action`."""
     out = [0] * len(action_counts)

@@ -1,18 +1,26 @@
 """Straight-line single-loop reference of the synchronous actor-critic.
 
 Written independently of the engine (no shared package code): every
-update rule, the softmax, the sampling discipline, and the Metropolis
-mixing are spelled out inline with plain numpy. Covers the undefended
-cooperative case only (no trimming, no adversaries, tabular critic,
-static graph), which is exactly the configuration the order-of-updates
-fidelity check exercises.
+update rule, the softmax, the sampling discipline, the trimming and the
+Metropolis mixing are spelled out inline with plain numpy, one agent at a
+time. Covered features:
+
+- tabular critics, or a projection critic given as its feature matrix
+  (Q is a per-row ``np.dot``);
+- heterogeneous action counts;
+- a static graph or a periodic schedule (round t uses phase t mod P);
+- coordinate-wise trimming of the f highest and f lowest received values,
+  ties broken by ascending sender id, the self-weight absorbing the mass of
+  whatever was trimmed;
+- constant and drift adversaries, which run their own local updates, keep
+  their staged critic and broadcast a fabricated payload;
+- additive uniform reward noise.
 
 Random-draw contract mirrored from the engine docs: one uniform draw per
 agent (ascending id) for the initial action, then per round one draw for
-the transition followed by one per agent for action selection.
+the transition, one noise vector when reward noise is on, and one draw per
+agent for action selection.
 """
-import math
-
 import numpy as np
 
 
@@ -28,28 +36,55 @@ def run_reference(
     actor_scale=1.0,
     actor_exponent=0.85,
     initial_state=0,
+    phases=None,
+    trim_f=0,
+    adversaries=None,
+    reward_noise=0.0,
+    features=None,
+    trim_events=None,
 ):
     """Return per-round parameter snapshots [(thetas, omegas, mus), ...].
 
     The first snapshot is the initial state (all zeros); one more follows
     each completed round, so the list has n_rounds + 1 entries.
+
+    ``phases`` (a list of edge lists) replaces ``edges`` when given.
+    ``adversaries`` maps an agent id to ``("constant", value)`` or
+    ``("drift", start, rate)``. ``features`` is the (n_states *
+    n_joint, dim) projection matrix; None means a tabular critic. A
+    ``trim_events`` list receives ``(t, agent, senders)`` for every regular
+    agent that trimmed some senders at every coordinate, in round and agent
+    order.
     """
     transition = np.asarray(transition, dtype=np.float64)
     rewards = np.asarray(rewards, dtype=np.float64)
     n_agents = len(action_counts)
     n_states = transition.shape[0]
     n_joint = int(np.prod(action_counts))
+    adversaries = dict(adversaries or {})
+    if phases is None:
+        phases = [edges]
+    if features is None:
+        dim = n_states * n_joint
+    else:
+        features = np.asarray(features, dtype=np.float64)
+        dim = features.shape[1]
 
-    neighbors = [[] for _ in range(n_agents)]
-    for u, v in edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    neighbors = [sorted(ns) for ns in neighbors]
-    degree = [len(ns) for ns in neighbors]
-    mix_weight = [
-        [1.0 / (1.0 + max(degree[i], degree[j])) for j in neighbors[i]]
-        for i in range(n_agents)
-    ]
+    # per phase: ascending neighbour lists and Metropolis pair weights
+    phase_neighbors = []
+    phase_weights = []
+    for phase_edges in phases:
+        neighbors = [[] for _ in range(n_agents)]
+        for u, v in phase_edges:
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+        neighbors = [sorted(ns) for ns in neighbors]
+        degree = [len(ns) for ns in neighbors]
+        phase_neighbors.append(neighbors)
+        phase_weights.append([
+            [1.0 / (1.0 + max(degree[i], degree[j])) for j in neighbors[i]]
+            for i in range(n_agents)
+        ])
 
     def encode(local_actions):
         idx = 0
@@ -72,10 +107,57 @@ def run_reference(
         e = np.exp(z)
         return e / e.sum()
 
+    def sample(probs, u):
+        return min(int(np.searchsorted(np.cumsum(probs), u, side="right")), len(probs) - 1)
+
+    def q(omega_i, s, joint):
+        if features is None:
+            return float(omega_i[s * n_joint + joint])
+        return float(np.dot(features[s * n_joint + joint], omega_i))
+
+    def critic_gradient(s, joint):
+        if features is None:
+            phi = np.zeros(dim)
+            phi[s * n_joint + joint] = 1.0
+            return phi
+        return features[s * n_joint + joint]
+
+    def payload(i, staged_i, t):
+        if i not in adversaries:
+            return staged_i
+        kind, *params = adversaries[i]
+        if kind == "constant":
+            return np.full(dim, float(params[0]))
+        start, rate = params
+        return np.full(dim, float(start)) + rate * t
+
+    def trim_and_mix(own, received, weights, f):
+        """Own value mixed with the senders that survive trimming, per coordinate.
+
+        Also returns, per sender, whether any of its coordinates survived.
+        """
+        k = len(received)
+        keep = [np.zeros(dim, dtype=bool) for _ in range(k)]
+        if k > 2 * f:
+            for j in range(k):
+                # stable rank: senders strictly below, plus equal senders with a lower id
+                rank = np.zeros(dim, dtype=np.int64)
+                for l in range(k):
+                    rank += received[l] < received[j]
+                    if l < j:
+                        rank += received[l] == received[j]
+                keep[j] = (rank >= f) & (rank < k - f)
+        acc = np.zeros(dim)
+        wacc = np.zeros(dim)
+        for v, w, kept in zip(received, weights, keep):
+            acc = acc + np.where(kept, w * v, 0.0)
+            wacc = wacc + np.where(kept, w, 0.0)
+        return (1.0 - wacc) * own + acc, [kept.any() for kept in keep]
+
     rng = np.random.default_rng(seed)
 
     thetas = [np.zeros(n_states * c) for c in action_counts]
-    omegas = [np.zeros(n_states * n_joint) for _ in range(n_agents)]
+    omegas = [np.zeros(dim) for _ in range(n_agents)]
     mus = np.zeros(n_agents)
 
     def snapshot():
@@ -89,9 +171,7 @@ def run_reference(
     a_locals = []
     for i in range(n_agents):
         probs = softmax_probs(thetas[i], action_counts[i], s)
-        u = rng.random()
-        a_locals.append(min(int(np.searchsorted(np.cumsum(probs), u, side="right")),
-                            action_counts[i] - 1))
+        a_locals.append(sample(probs, rng.random()))
     a = encode(a_locals)
 
     history = [snapshot()]
@@ -102,25 +182,22 @@ def run_reference(
         cdf = np.cumsum(transition[s, a])
         s_next = min(int(np.searchsorted(cdf, rng.random(), side="right")), n_states - 1)
         r = rewards[:, s, a]
+        if reward_noise > 0.0:
+            r = r + rng.uniform(-reward_noise, reward_noise, size=n_agents)
         mus_prev = mus
         mus = (1.0 - beta_w) * mus + beta_w * r
 
         a_next_locals = []
         for i in range(n_agents):
             probs = softmax_probs(thetas[i], action_counts[i], s_next)
-            u = rng.random()
-            a_next_locals.append(
-                min(int(np.searchsorted(np.cumsum(probs), u, side="right")),
-                    action_counts[i] - 1)
-            )
+            a_next_locals.append(sample(probs, rng.random()))
         a_next = encode(a_next_locals)
 
-        phi = np.zeros(n_states * n_joint)
-        phi[s * n_joint + a] = 1.0
+        phi = critic_gradient(s, a)
         staged = []
         for i in range(n_agents):
-            q_curr = float(omegas[i][s * n_joint + a])
-            q_next = float(omegas[i][s_next * n_joint + a_next])
+            q_curr = q(omegas[i], s, a)
+            q_next = q(omegas[i], s_next, a_next)
             delta = float(r[i]) - float(mus_prev[i]) + q_next - q_curr
 
             staged.append(omegas[i] + beta_w * delta * phi)
@@ -131,7 +208,7 @@ def run_reference(
             qs = np.empty(action_counts[i])
             for b in range(action_counts[i]):
                 locals_now[i] = b
-                qs[b] = float(omegas[i][s * n_joint + encode(locals_now)])
+                qs[b] = q(omegas[i], s, encode(locals_now))
             adv = float(qs[own_action] - np.dot(probs, qs))
 
             n_acts = action_counts[i]
@@ -140,14 +217,20 @@ def run_reference(
             psi[s * n_acts + own_action] += 1.0
             thetas[i] = thetas[i] + beta_t * adv * psi
 
+        sent = [payload(i, staged[i], t) for i in range(n_agents)]
+        neighbors = phase_neighbors[t % len(phases)]
+        weights = phase_weights[t % len(phases)]
         new_omegas = []
         for i in range(n_agents):
-            acc = np.zeros(n_states * n_joint)
-            wacc = 0.0
-            for j, w in zip(neighbors[i], mix_weight[i]):
-                acc = acc + w * staged[j]
-                wacc = wacc + w
-            new_omegas.append((1.0 - wacc) * staged[i] + acc)
+            if i in adversaries or not neighbors[i]:
+                new_omegas.append(staged[i])
+                continue
+            received = [sent[j] for j in neighbors[i]]
+            mixed, survived = trim_and_mix(staged[i], received, weights[i], trim_f)
+            new_omegas.append(mixed)
+            dropped = tuple(j for j, ok in zip(neighbors[i], survived) if not ok)
+            if dropped and trim_events is not None:
+                trim_events.append((t, i, dropped))
         omegas = new_omegas
 
         s, a, a_locals = s_next, a_next, a_next_locals

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from resilient_marl.agents import ActorParams, AgentState
 from resilient_marl.consensus import (
+    AgentView,
     ConsensusError,
     ConstantStrategy,
     DriftStrategy,
     NoiseStrategy,
-    ParameterMessage,
+    Inbox,
     SelfishStrategy,
     adversary_message,
     consensus_combine,
@@ -21,9 +21,15 @@ from resilient_marl.graphs import (
 )
 
 
-def msgs_from(payloads, degree=2):
-    return [ParameterMessage(i, np.atleast_1d(np.asarray(p, float)), degree)
-            for i, p in enumerate(payloads)]
+def inbox(pairs):
+    """One receiver's Inbox from (sender, payload) pairs, listed by ascending sender."""
+    pairs = sorted(pairs, key=lambda pair: pair[0])
+    return Inbox(tuple(j for j, _ in pairs),
+                 np.stack([np.atleast_1d(np.asarray(p, float)) for _, p in pairs]))
+
+
+def msgs_from(payloads):
+    return inbox(enumerate(payloads))
 
 
 def hull_bounds(own, trimmed):
@@ -52,18 +58,25 @@ class TestTrim:
     def test_too_few_messages_trims_all(self):
         tr = trim(np.zeros(1), msgs_from([1.0, 2.0]), f=1)
         assert not tr.mask.any()
-        assert tr.fully_trimmed_senders() == (0, 1)
+        assert tr.fully_trimmed_senders() == [(0, 1)]
 
     def test_tie_break_by_sender_id(self):
         # four equal values: the two lowest sender ids take the "low" ranks
         tr = trim(np.zeros(1), msgs_from([7.0, 7.0, 7.0, 7.0]), f=1)
         assert tr.mask[:, 0].tolist() == [False, True, True, False]
 
-    def test_messages_sorted_by_sender(self):
-        msgs = [ParameterMessage(3, np.array([1.0]), 1), ParameterMessage(1, np.array([2.0]), 1)]
-        tr = trim(np.zeros(1), msgs, f=0)
-        assert tr.senders == (1, 3)
-        assert tr.values[:, 0].tolist() == [2.0, 1.0]
+    def test_group_trims_each_row_alone(self):
+        # row 0 drops senders 10 and 12 whole; in row 1 each sender is the
+        # median somewhere, so none is dropped at every coordinate
+        senders = np.array([[10, 11, 12], [20, 21, 22]])
+        values = np.array([[[1.0, 1, 1], [2, 2, 2], [3, 3, 3]],
+                           [[1.0, 0, 2], [2, 1, 0], [0, 2, 1]]])
+        own = np.zeros((2, 3))
+        tr = trim(own, Inbox(senders, values), f=1)
+        assert tr.fully_trimmed_senders() == [(10, 12), ()]
+        for r in range(2):
+            alone = trim(own[r], Inbox(senders[r], values[r]), f=1)
+            assert np.array_equal(tr.mask[r], alone.mask)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
@@ -79,7 +92,7 @@ class TestConsensusCombine:
 
     def test_two_party_midpoint(self):
         own = np.zeros(1)
-        tr = trim(own, msgs_from([1.0], degree=1), f=0)
+        tr = trim(own, msgs_from([1.0]), f=0)
         out = consensus_combine(own, tr, np.array([0.5]))
         assert out[0] == 0.5
 
@@ -133,7 +146,7 @@ class TestReduction:
         rows = metropolis_weights(g)
         for i in range(n):
             nbrs = g.neighbors(i, 0)
-            msgs = [ParameterMessage(j, x[j], int(deg[j])) for j in nbrs]
+            msgs = inbox((j, x[j]) for j in nbrs)
             tr = trim(x[i], msgs, f=0)
             pw = np.array([metropolis_pair_weight(int(deg[i]), int(deg[j])) for j in nbrs])
             combined = consensus_combine(x[i], tr, pw)
@@ -171,7 +184,7 @@ class TestFilteringGuarantee:
                 continue
             nbrs = g.neighbors(i, 0)
             own = rng.uniform(-1, 1, dim)
-            msgs = [ParameterMessage(j, payload[j], int(deg[j])) for j in nbrs]
+            msgs = inbox((j, payload[j]) for j in nbrs)
             tr = trim(own, msgs, f=f)
             pw = np.array([metropolis_pair_weight(int(deg[i]), int(deg[j])) for j in nbrs])
             out = consensus_combine(own, tr, pw)
@@ -190,7 +203,7 @@ def pure_averaging_round(g, values, f):
             new[i] = values[i]
             continue
         nbrs = g.neighbors(i, 0)
-        msgs = [ParameterMessage(j, values[j], int(deg[j])) for j in nbrs]
+        msgs = inbox((j, values[j]) for j in nbrs)
         tr = trim(values[i], msgs, f=f)
         pw = np.array([metropolis_pair_weight(int(deg[i]), int(deg[j])) for j in nbrs])
         new[i] = consensus_combine(values[i], tr, pw)
@@ -224,8 +237,7 @@ class TestPureAveraging:
 
 class TestAdversaryStrategies:
     def _adversary(self):
-        actor = ActorParams.zeros(1, 2)
-        return AgentState(0, actor, np.zeros(2), np.array([1.0, 2.0]), strategy=SelfishStrategy())
+        return AgentView(0, np.array([1.0, 2.0]))
 
     def test_constant(self):
         agent = self._adversary()
@@ -253,7 +265,6 @@ class TestAdversaryStrategies:
         assert np.array_equal(out, agent.omega_staged)
 
     def test_rejects_regular_agent(self):
-        actor = ActorParams.zeros(1, 2)
-        regular = AgentState(0, actor, np.zeros(2), np.zeros(2))
+        regular = AgentView(0, np.zeros(2), is_regular=True)
         with pytest.raises(ValueError, match="regular"):
             adversary_message(ConstantStrategy(1.0), regular, t=0, dim=2)

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from resilient_marl.consensus import ConstantStrategy, SelfishStrategy
+from resilient_marl.consensus import ConstantStrategy, DriftStrategy, SelfishStrategy
 from resilient_marl.engine import (
     EarlyStop,
     NonFiniteParameterError,
+    SafetyViolationError,
     Simulation,
     StepSizeSchedule,
+    _receiver_groups,
     compute_metrics,
     projection_features,
     run,
@@ -117,6 +119,14 @@ class TestRunBasics:
         with pytest.raises(NonFiniteParameterError):
             run(sim)
 
+    def test_regular_span_violation_names_lowest_agent(self):
+        # with f=0 agents 1 and 2 both mix in the far broadcast of agent 0
+        mdp = generate_random_mdp(3, 3, 2, (0.0, 1.0), seed=3)
+        g = GraphSchedule.ring(3, adversary_set={0}, trim_f=0)
+        sim = make_sim(mdp, g, 5, strategies={0: ConstantStrategy(100.0)}, check_regular_hull=True)
+        with pytest.raises(SafetyViolationError, match="round 0: agent 1 left the span of regular values"):
+            run(sim)
+
     def test_trim_events_recorded(self):
         mdp = generate_random_mdp(5, 3, 2, (0.0, 1.0), seed=4)
         g = GraphSchedule.complete(5, adversary_set={4}, trim_f=1)
@@ -194,3 +204,92 @@ class TestOrderOfUpdatesFidelity:
                 assert np.array_equal(np.array(row.params["theta"][i]), thetas[i])
                 assert np.array_equal(np.array(row.params["omega"][i]), omegas[i])
                 assert row.params["avg_reward"][i] == mus[i]
+
+
+def _reference_case(name):
+    """(simulation, run_reference keyword arguments) for one covered feature."""
+    if name == "trim_constant":
+        mdp = generate_random_mdp(5, 3, 2, (0.0, 4.0), seed=30)
+        g = GraphSchedule.complete(5, adversary_set={4}, trim_f=1)
+        sim = make_sim(mdp, g, 150, strategies={4: ConstantStrategy(7.5)})
+        return sim, dict(trim_f=1, adversaries={4: ("constant", 7.5)})
+    if name == "trim_ties_f2":
+        # two adversaries sending the same value force ties at every coordinate
+        mdp = generate_random_mdp(6, 2, 2, (0.0, 4.0), seed=31)
+        g = GraphSchedule.complete(6, adversary_set={1, 4}, trim_f=2)
+        sim = make_sim(mdp, g, 150, strategies={1: ConstantStrategy(0.0), 4: ConstantStrategy(0.0)})
+        return sim, dict(trim_f=2, adversaries={1: ("constant", 0.0), 4: ("constant", 0.0)})
+    if name == "drift_periodic":
+        # phase 0 leaves agents 0 and 3 with two neighbours (k <= 2f: all trimmed)
+        phases = [
+            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4), (2, 5)],
+            [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 5)],
+        ]
+        mdp = generate_random_mdp(6, 3, 2, (0.0, 4.0), seed=32)
+        g = GraphSchedule.periodic(6, phases, adversary_set={5}, trim_f=1)
+        sim = make_sim(mdp, g, 150, strategies={5: DriftStrategy(0.5, 0.02)})
+        return sim, dict(phases=phases, trim_f=1, adversaries={5: ("drift", 0.5, 0.02)})
+    if name == "heterogeneous_noise":
+        mdp = generate_random_mdp(4, 3, [3, 2, 9, 2], (0.0, 4.0), seed=33)
+        sim = make_sim(mdp, GraphSchedule.ring(4), 150, reward_noise=0.5)
+        return sim, dict(reward_noise=0.5)
+    if name == "projection":
+        mdp = generate_random_mdp(4, 3, [2, 3, 2, 2], (0.0, 4.0), seed=34)
+        g = GraphSchedule.complete(4, adversary_set={2}, trim_f=1)
+        sim = make_sim(mdp, g, 150, features=projection_features(mdp, dim=9, seed=5),
+                       strategies={2: ConstantStrategy(-3.0)})
+        matrix = np.stack([sim.features.vector(s, a)
+                           for s in range(mdp.n_states) for a in range(mdp.n_joint_actions)])
+        return sim, dict(features=matrix, trim_f=1, adversaries={2: ("constant", -3.0)})
+    raise ValueError(name)
+
+
+class TestEngineMatchesReference:
+    @pytest.mark.parametrize("case", [
+        "trim_constant", "trim_ties_f2", "drift_periodic", "heterogeneous_noise", "projection",
+    ])
+    def test_bitwise_equal_snapshots(self, case):
+        """Every agent's theta, omega and reward tracker equal the reference's, every
+        round, and the fully trimmed senders are the same (ties go by sender id)."""
+        sim, extra = _reference_case(case)
+        sim.log_interval = 1
+        sim.snapshot_params = True
+        log = run(sim)
+        edges = sorted(tuple(e) for e in sim.graph.edges_at(0))
+        events = []
+        history = run_reference(sim.mdp.transition, sim.mdp.rewards, sim.mdp.action_counts,
+                                edges, sim.n_rounds, sim.seed, trim_events=events, **extra)
+        assert log.trim_events == events
+        assert events or not extra.get("trim_f"), "a trimming case should drop whole senders"
+        assert len(log.rows) == len(history) == sim.n_rounds + 1
+        for row, (thetas, omegas, mus) in zip(log.rows, history):
+            for i in range(sim.mdp.n_agents):
+                assert np.array_equal(np.array(row.params["theta"][i]), thetas[i]), (row.t, i)
+                assert np.array_equal(np.array(row.params["omega"][i]), omegas[i]), (row.t, i)
+                assert row.params["avg_reward"][i] == mus[i], (row.t, i)
+
+
+class TestReceiverGroups:
+    def test_senders_listed_by_ascending_id(self):
+        """Trim breaks ties and combine sums in the order of each group's rows."""
+        phases = [[(5, 0), (4, 1), (3, 0), (2, 1), (1, 0), (4, 3)], [(5, 4), (3, 2), (1, 0), (5, 0)]]
+        g = GraphSchedule.periodic(6, phases, adversary_set={2}, trim_f=1)
+        for p, groups in enumerate(_receiver_groups(g)):
+            seen = []
+            for grp in groups:
+                for i, row, regular in zip(grp.ids, grp.nbr, grp.regular):
+                    expected = sorted({b if a == i else a for a, b in phases[p] if i in (a, b)})
+                    assert row.tolist() == expected
+                    assert regular.tolist() == [j != 2 for j in expected]
+                    seen.append(int(i))
+            assert sorted(seen) == [i for i in range(6) if i != 2 and g.degrees(p)[i] > 0]
+
+
+class TestRandomDrawContract:
+    def test_vector_draw_equals_scalar_draws(self):
+        """One random(n) vector is bitwise the n scalar draws the contract names."""
+        for seed in (0, 1, 2, 7):
+            for n in (1, 2, 5, 8, 13):
+                vector = np.random.default_rng(seed).random(n)
+                rng = np.random.default_rng(seed)
+                assert vector.tolist() == [rng.random() for _ in range(n)]
