@@ -8,7 +8,6 @@ determinism contract.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
 import json
 import os
@@ -196,6 +195,8 @@ def run_sweep(sweep_doc: dict, out_root, jobs: int = 1, quiet: bool = False) -> 
     if jobs == 1:
         results = [_sweep_worker(task) for task in tasks]
     else:
+        import concurrent.futures  # only here: it adds set-up time to every other command
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_worker, tasks))
     out_root.mkdir(parents=True, exist_ok=True)

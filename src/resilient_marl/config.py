@@ -1,13 +1,21 @@
 """Declarative experiment configs: parsing, validation, materialization.
 
 Configs are YAML or JSON mappings (YAML is a superset, so one parser
-covers both). Parsing resolves every default so the echoed document fully
-describes the run; validation errors carry the dotted field path.
+covers both). Each section of the document is one table of fields, and
+for the config's own specs that table is the dataclass itself: every
+attribute carries its type, default, bounds and the ``kind``,
+``topology`` or ``strategy`` it applies to. One routine parses every
+table and one writes it back, so the echoed document resolves every
+default and fully describes the run. Errors carry the dotted field path.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -27,34 +35,17 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-_TOPOLOGIES = ("ring", "star", "complete", "erdos_renyi", "edges")
-_FEATURE_KINDS = ("tabular", "projection")
-_SCHEDULE_KINDS = ("constant", "polynomial")
-_STRATEGY_PARAM_KEYS = {
-    "constant": {"value"},
-    "drift": {"start", "rate"},
-    "noise": {"scale", "seed"},
-    "selfish": set(),
-}
-
-
-def _expect_mapping(doc, path):
-    if not isinstance(doc, dict):
-        raise ConfigError(path, f"expected a mapping, got {type(doc).__name__}")
+_TOP = "<config>"
 
 
 def _check_keys(doc, allowed, path):
     unknown = set(doc) - set(allowed)
     if unknown:
-        raise ConfigError(path, f"unknown field(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
-
-
-def _get(doc, key, path, required=False, default=None):
-    if key not in doc or doc[key] is None:
-        if required:
-            raise ConfigError(path, f"missing required field '{key}'")
-        return default
-    return doc[key]
+        try:
+            unknown = sorted(unknown)
+        except TypeError:  # keys of mixed types, such as 1 and "a"
+            unknown = sorted(unknown, key=repr)
+        raise ConfigError(path, f"unknown field(s) {unknown}; allowed: {sorted(allowed)}")
 
 
 def _as_int(value, path, minimum=None):
@@ -68,360 +59,371 @@ def _as_int(value, path, minimum=None):
 def _as_number(value, path):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ConfigError(path, f"must be finite, got {value!r}") from None
 
 
-def _as_bool(value, path):
-    if not isinstance(value, bool):
-        raise ConfigError(path, f"expected true/false, got {value!r}")
+def _real(value, path, finite=False):
+    """``value`` as given, once it is a number other than NaN (or ±inf if ``finite``)."""
+    x = _as_number(value, path)
+    if x != x:
+        raise ConfigError(path, f"expected a number, got {value!r}")
+    if finite and math.isinf(x):
+        raise ConfigError(path, f"must be finite, got {value!r}")
     return value
 
 
-@dataclass(frozen=True)
-class MdpSpec:
-    kind: str
-    n_states: int | None = None
-    actions_per_agent: tuple[int, ...] | None = None
-    reward_range: tuple[float, float] = (0.0, 4.0)
-    seed: int | None = None
-    path: str | None = None
-
-    def to_dict(self):
-        if self.kind == "file":
-            return {"kind": "file", "path": self.path}
-        return {
-            "kind": "random",
-            "n_states": self.n_states,
-            "actions_per_agent": list(self.actions_per_agent),
-            "reward_range": list(self.reward_range),
-            "seed": self.seed,
-        }
+# -- composite values: (value, path) -> parsed value -----------------------
 
 
-@dataclass(frozen=True)
-class GraphSpec:
-    topology: str
-    p: float | None = None
-    seed: int = 0
-    edges: tuple | None = None
-    phases: tuple | None = None
-    require_connected: bool = True
-
-    def to_dict(self):
-        doc = {"topology": self.topology, "require_connected": self.require_connected}
-        if self.topology == "erdos_renyi":
-            doc["p"] = self.p
-            doc["seed"] = self.seed
-        if self.edges is not None:
-            doc["edges"] = [list(e) for e in self.edges]
-        if self.phases is not None:
-            doc["phases"] = [[list(e) for e in phase] for phase in self.phases]
-        return doc
+def _actions(value, path):
+    if isinstance(value, (list, tuple)):
+        return tuple(_as_int(a, f"{path}[{k}]", minimum=2) for k, a in enumerate(value))
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(path, "expected an int or a list of ints")
+    return (_as_int(value, path, minimum=2),)
 
 
-@dataclass(frozen=True)
-class AdversarySpec:
-    strategy: str
-    params: tuple
-    ids: tuple[int, ...] | None = None
-    count: int | None = None
-    enforce_f_local: bool = True
-
-    def params_dict(self):
-        return dict(self.params)
-
-    def to_dict(self):
-        params = {
-            k: list(v) if isinstance(v, tuple) else v for k, v in self.params_dict().items()
-        }
-        doc = {
-            "strategy": self.strategy,
-            "params": params,
-            "enforce_f_local": self.enforce_f_local,
-        }
-        if self.ids is not None:
-            doc["ids"] = list(self.ids)
-        else:
-            doc["count"] = self.count
-        return doc
-
-
-@dataclass(frozen=True)
-class FeatureSpec:
-    kind: str = "tabular"
-    dim: int | None = None
-    seed: int = 0
-
-    def to_dict(self):
-        if self.kind == "tabular":
-            return {"kind": "tabular"}
-        return {"kind": "projection", "dim": self.dim, "seed": self.seed}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved run description; every default is made explicit."""
-
-    n_agents: int
-    rounds: int
-    seed: int
-    mdp: MdpSpec
-    graph: GraphSpec
-    trim_f: int
-    features: FeatureSpec
-    critic_step: StepSizeSchedule
-    actor_step: StepSizeSchedule
-    adversaries: AdversarySpec | None = None
-    log_interval: int = 100
-    record_trims: bool = True
-    check_regular_hull: bool = False
-    snapshot_params: bool = False
-    reward_noise: float = 0.0
-    initial_state: int = 0
-    early_stop: EarlyStop | None = None
-    out: str | None = None
-
-    def to_dict(self) -> dict:
-        doc = {
-            "n_agents": self.n_agents,
-            "rounds": self.rounds,
-            "seed": self.seed,
-            "mdp": self.mdp.to_dict(),
-            "graph": self.graph.to_dict(),
-            "trim_f": self.trim_f,
-            "features": self.features.to_dict(),
-            "critic_step": self.critic_step.to_dict(),
-            "actor_step": self.actor_step.to_dict(),
-            "adversaries": self.adversaries.to_dict() if self.adversaries else None,
-            "log_interval": self.log_interval,
-            "record_trims": self.record_trims,
-            "check_regular_hull": self.check_regular_hull,
-            "snapshot_params": self.snapshot_params,
-            "reward_noise": self.reward_noise,
-            "initial_state": self.initial_state,
-            "early_stop": None,
-            "out": self.out,
-        }
-        if self.early_stop is not None:
-            doc["early_stop"] = {
-                "disagreement": self.early_stop.disagreement,
-                "actor_update": self.early_stop.actor_update,
-                "patience": self.early_stop.patience,
-            }
-        return doc
-
-    def to_yaml(self) -> str:
-        return yaml.safe_dump(self.to_dict(), sort_keys=True)
-
-
-def _parse_mdp(doc, path="mdp"):
-    _expect_mapping(doc, path)
-    kind = _get(doc, "kind", path, default="random")
-    if kind == "file":
-        _check_keys(doc, {"kind", "path"}, path)
-        return MdpSpec(kind="file", path=_get(doc, "path", path, required=True))
-    if kind != "random":
-        raise ConfigError(f"{path}.kind", f"unknown mdp kind {kind!r}; use 'random' or 'file'")
-    _check_keys(doc, {"kind", "n_states", "actions_per_agent", "reward_range", "seed"}, path)
-    n_states = _as_int(_get(doc, "n_states", path, required=True), f"{path}.n_states", minimum=2)
-    acts = _get(doc, "actions_per_agent", path, required=True)
-    if isinstance(acts, int):
-        acts = (acts,)
-    elif isinstance(acts, (list, tuple)):
-        acts = tuple(_as_int(a, f"{path}.actions_per_agent[{k}]", minimum=2) for k, a in enumerate(acts))
-    else:
-        raise ConfigError(f"{path}.actions_per_agent", "expected an int or a list of ints")
-    rng_range = _get(doc, "reward_range", path, default=[0.0, 4.0])
-    if not (isinstance(rng_range, (list, tuple)) and len(rng_range) == 2):
-        raise ConfigError(f"{path}.reward_range", "expected [low, high]")
-    lo = _as_number(rng_range[0], f"{path}.reward_range[0]")
-    hi = _as_number(rng_range[1], f"{path}.reward_range[1]")
+def _reward_range(value, path):
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ConfigError(path, "expected [low, high]")
+    lo, hi = (_as_number(x, f"{path}[{k}]") for k, x in enumerate(value))
     if hi < lo:
-        raise ConfigError(f"{path}.reward_range", "low must not exceed high")
-    seed = _get(doc, "seed", path)
-    if seed is not None:
-        seed = _as_int(seed, f"{path}.seed")
-    return MdpSpec("random", n_states, acts, (lo, hi), seed)
+        raise ConfigError(path, "low must not exceed high")
+    return tuple(_real(x, f"{path}[{k}]", finite=True) for k, x in enumerate((lo, hi)))
 
 
-def _parse_edge_list(raw, path):
-    if not isinstance(raw, (list, tuple)):
+def _edges(value, path):
+    if not isinstance(value, (list, tuple)):
         raise ConfigError(path, "expected a list of [u, v] pairs")
     edges = []
-    for k, e in enumerate(raw):
+    for k, e in enumerate(value):
         if not (isinstance(e, (list, tuple)) and len(e) == 2):
             raise ConfigError(f"{path}[{k}]", "expected a pair [u, v]")
         edges.append((_as_int(e[0], f"{path}[{k}][0]", minimum=0), _as_int(e[1], f"{path}[{k}][1]", minimum=0)))
     return tuple(edges)
 
 
-def _parse_graph(doc, path="graph"):
-    _expect_mapping(doc, path)
-    _check_keys(doc, {"topology", "p", "seed", "edges", "phases", "require_connected"}, path)
-    topology = _get(doc, "topology", path, required=True)
-    if topology not in _TOPOLOGIES:
-        raise ConfigError(f"{path}.topology", f"unknown topology {topology!r}; valid: {list(_TOPOLOGIES)}")
-    if topology != "edges" and ("edges" in doc or "phases" in doc):
-        raise ConfigError(path, f"edges/phases only apply to topology 'edges', not {topology!r}")
-    if topology != "erdos_renyi" and ("p" in doc or "seed" in doc):
-        raise ConfigError(path, f"p/seed only apply to topology 'erdos_renyi', not {topology!r}")
-    p = None
-    seed = 0
-    edges = None
-    phases = None
-    if topology == "erdos_renyi":
-        p = _as_number(_get(doc, "p", path, required=True), f"{path}.p")
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError(f"{path}.p", "edge probability must lie in [0, 1]")
-        seed = _as_int(_get(doc, "seed", path, default=0), f"{path}.seed")
-    if topology == "edges":
-        raw_phases = _get(doc, "phases", path)
-        if raw_phases is not None:
-            if not isinstance(raw_phases, (list, tuple)) or not raw_phases:
-                raise ConfigError(f"{path}.phases", "expected a nonempty list of edge lists")
-            phases = tuple(_parse_edge_list(ph, f"{path}.phases[{k}]") for k, ph in enumerate(raw_phases))
-        else:
-            edges = _parse_edge_list(_get(doc, "edges", path, required=True), f"{path}.edges")
-    require_connected = _as_bool(_get(doc, "require_connected", path, default=True), f"{path}.require_connected")
-    return GraphSpec(topology, p, seed, edges, phases, require_connected)
+def _phases(value, path):
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(path, "expected a nonempty list of edge lists")
+    return tuple(_edges(phase, f"{path}[{k}]") for k, phase in enumerate(value))
 
 
-def _parse_adversaries(doc, path="adversaries"):
-    if doc is None:
-        return None
-    _expect_mapping(doc, path)
-    _check_keys(doc, {"ids", "count", "strategy", "params", "enforce_f_local"}, path)
-    strategy = _get(doc, "strategy", path, required=True)
-    if strategy not in STRATEGY_NAMES:
-        raise ConfigError(
-            f"{path}.strategy",
-            f"unknown strategy {strategy!r}; valid: {sorted(STRATEGY_NAMES)}",
-        )
-    params = _get(doc, "params", path, default={})
-    _expect_mapping(params, f"{path}.params")
-    allowed = _STRATEGY_PARAM_KEYS[strategy]
-    _check_keys(params, allowed, f"{path}.params")
-    if strategy == "constant" and "value" not in params:
-        raise ConfigError(f"{path}.params", "constant strategy needs 'value'")
-    if strategy == "drift" and not {"start", "rate"} <= set(params):
-        raise ConfigError(f"{path}.params", "drift strategy needs 'start' and 'rate'")
-    if strategy == "noise" and "scale" not in params:
-        raise ConfigError(f"{path}.params", "noise strategy needs 'scale'")
-    ids = _get(doc, "ids", path)
-    count = _get(doc, "count", path)
-    if (ids is None) == (count is None):
-        raise ConfigError(path, "give exactly one of 'ids' or 'count'")
-    if ids is not None:
-        if not isinstance(ids, (list, tuple)):
-            raise ConfigError(f"{path}.ids", "expected a list of node ids")
-        ids = tuple(sorted(_as_int(i, f"{path}.ids[{k}]", minimum=0) for k, i in enumerate(ids)))
-        if len(set(ids)) != len(ids):
-            raise ConfigError(f"{path}.ids", "duplicate ids")
+def _ids(value, path):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(path, "expected a list of node ids")
+    ids = tuple(sorted(_as_int(i, f"{path}[{k}]", minimum=0) for k, i in enumerate(value)))
+    if len(set(ids)) != len(ids):
+        raise ConfigError(path, "duplicate ids")
+    return ids
+
+
+def _payload(value, path):
+    """A broadcast value: one number or one per coordinate; ±inf is a valid attack."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_real(x, f"{path}[{k}]") for k, x in enumerate(value))
+    return _real(value, path)
+
+
+# -- the schema -------------------------------------------------------------
+
+_REQUIRED = object()  # the field must be given
+_OMIT = object()  # an absent field is left out of the spec and of the echo
+
+
+class Field(NamedTuple):
+    """How to read one field.
+
+    ``type`` is int, float, bool, str, a tuple of allowed values (an unknown
+    one is reported with ``message``), a Section, or a parse function
+    ``(value, path) -> value``. ``default`` stands in for an absent or
+    null field; ``{}`` gives a section all its defaults. ``minimum``
+    bounds an int, ``reject`` is a ``(test, message)`` pair for a float,
+    which is never NaN and with ``finite`` never ±inf. ``when`` lists the
+    discriminator values the field applies to; empty means all.
+    """
+
+    name: str
+    type: object
+    default: object = _REQUIRED
+    minimum: int | None = None
+    reject: tuple | None = None
+    finite: bool = False
+    message: str = ""
+    when: tuple = ()
+
+    def applies(self, kind) -> bool:
+        return not self.when or kind in self.when
+
+
+class Section(NamedTuple):
+    """A mapping's fields and the spec built from them.
+
+    ``by`` names the discriminator that ``Field.when`` refers to; a
+    section without that field takes it from the enclosing one. A field
+    that does not apply is unknown when ``strict``, an error formatted by
+    ``misplaced`` when that is set, and ignored otherwise. ``missing``
+    formats the error for an absent required field, and ``echo``, when
+    set, writes the spec back in place of the fields.
+    """
+
+    fields: tuple[Field, ...]
+    make: Callable
+    by: str | None = None
+    strict: bool = False
+    misplaced: str | None = None
+    missing: str = "missing required field '{name}'"
+    echo: Callable | None = None
+
+
+def _rule(type, default=_REQUIRED, **limits):
+    """A spec attribute that carries its Field.
+
+    The attribute defaults to ``default``, or to None where the field may be
+    absent or is required for some kinds only. A field always required, or a
+    section read from ``{}``, gives the attribute no default.
+    """
+    if default is _OMIT or (default is _REQUIRED and limits.get("when")):
+        unset = None
+    elif default is _REQUIRED or isinstance(default, dict):
+        unset = dataclasses.MISSING
     else:
-        count = _as_int(count, f"{path}.count", minimum=0)
-    enforce = _as_bool(_get(doc, "enforce_f_local", path, default=True), f"{path}.enforce_f_local")
-    normalized = tuple(
-        sorted((k, tuple(v) if isinstance(v, list) else v) for k, v in params.items())
+        unset = default
+    return dataclasses.field(default=unset, metadata={"rule": Field("", type, default, **limits)})
+
+
+def _section(spec, make=None, **options) -> Section:
+    """The Section whose fields are the attributes of the dataclass ``spec``."""
+    fields = tuple(f.metadata["rule"]._replace(name=f.name) for f in dataclasses.fields(spec))
+    return Section(fields, make or spec, **options)
+
+
+def _parse(section: Section, doc, path: str, kind=None):
+    """Check ``doc`` against ``section``'s fields and build its spec."""
+    if not isinstance(doc, dict):
+        raise ConfigError(path, f"expected a mapping, got {type(doc).__name__}")
+    prefix = "" if path == _TOP else f"{path}."
+    values = {}
+
+    def read(f):
+        value = doc.get(f.name)
+        if value is None:
+            value = f.default
+            if value is _REQUIRED:
+                needs = " and ".join(
+                    repr(g.name) for g in section.fields if g.default is _REQUIRED and g.applies(kind)
+                )
+                raise ConfigError(path, section.missing.format(name=f.name, kind=kind, needs=needs))
+            if not isinstance(value, dict):  # a section's {} is parsed for its defaults
+                return value
+        return _value(f, value, prefix + f.name, values)
+
+    for f in section.fields:
+        if f.name == section.by:
+            kind = values[f.name] = read(f)
+    _check_keys(doc, [f.name for f in section.fields if not section.strict or f.applies(kind)], path)
+    for f in section.fields:
+        if f.name in values:
+            continue
+        if not f.applies(kind):
+            if section.misplaced and f.name in doc:
+                names = "/".join(sorted(g.name for g in section.fields if g.when == f.when))
+                raise ConfigError(path, section.misplaced.format(names, f.when[0], kind))
+        elif (value := read(f)) is not _OMIT:
+            values[f.name] = value
+    return section.make(**values)
+
+
+def _value(f: Field, value, path: str, outer: dict):
+    t = f.type
+    if t is int:
+        return _as_int(value, path, f.minimum)
+    if t is bool or t is str:
+        if not isinstance(value, t):
+            raise ConfigError(path, f"expected {'true/false' if t is bool else 'a string'}, got {value!r}")
+        return value
+    if t is float:
+        x = _as_number(value, path)
+        if f.reject and f.reject[0](x):
+            raise ConfigError(path, f.reject[1])
+        return _real(x, path, f.finite)
+    if isinstance(t, Section):
+        return _parse(t, value, path, outer.get(t.by))
+    if isinstance(t, tuple):
+        if value not in t:
+            raise ConfigError(path, f.message.format(value, list(t)))
+        return value
+    return t(value, path)
+
+
+def _echo(section: Section, spec, kind=None) -> dict:
+    """The document that parses back to ``spec``."""
+    if section.echo:
+        return section.echo(spec)
+    values = dict(spec) if isinstance(spec, tuple) else vars(spec)
+    kind = values.get(section.by, kind)
+    doc = {}
+    for f in section.fields:
+        value = values.get(f.name)
+        if not f.applies(kind) or (value is None and f.default is _OMIT):
+            continue
+        if isinstance(f.type, Section) and value is not None:
+            value = _echo(f.type, value, values.get(f.type.by))
+        doc[f.name] = _plain(value)
+    return doc
+
+
+def _plain(value):
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+
+
+# -- the sections -------------------------------------------------------------
+
+
+def _schedule(exponent: float) -> Section:
+    return Section(
+        (
+            Field("kind", ("constant", "polynomial"), "polynomial", message="unknown schedule kind {!r}; valid: {}"),
+            Field("scale", float, 1.0, reject=(lambda x: x < 0, "must be nonnegative")),
+            Field("exponent", float, exponent, when=("polynomial",),
+                  reject=(lambda x: x <= 0, "polynomial schedules need a positive exponent")),
+        ),
+        StepSizeSchedule, by="kind", echo=StepSizeSchedule.to_dict,
     )
-    return AdversarySpec(strategy, normalized, ids, count, enforce)
 
 
-def _parse_features(doc, path="features"):
-    if doc is None:
-        return FeatureSpec()
-    _expect_mapping(doc, path)
-    _check_keys(doc, {"kind", "dim", "seed"}, path)
-    kind = _get(doc, "kind", path, default="tabular")
-    if kind not in _FEATURE_KINDS:
-        raise ConfigError(f"{path}.kind", f"unknown feature kind {kind!r}; valid: {list(_FEATURE_KINDS)}")
-    if kind == "tabular":
-        return FeatureSpec("tabular")
-    dim = _as_int(_get(doc, "dim", path, required=True), f"{path}.dim", minimum=1)
-    seed = _as_int(_get(doc, "seed", path, default=0), f"{path}.seed")
-    return FeatureSpec("projection", dim, seed)
+_EARLY_STOP = Section(
+    (Field("disagreement", float), Field("actor_update", float), Field("patience", int, 100, minimum=1)),
+    EarlyStop,
+)
 
+_PARAMS = Section(
+    (
+        Field("value", _payload, when=("constant",)),
+        Field("start", _payload, when=("drift",)),
+        Field("rate", partial(_real, finite=True), when=("drift",)),
+        Field("scale", partial(_real, finite=True), when=("noise",)),
+        Field("seed", int, _OMIT, minimum=0, when=("noise",)),
+    ),
+    lambda **params: tuple(sorted(params.items())),
+    by="strategy", strict=True, missing="{kind} strategy needs {needs}",
+)
 
-def _parse_schedule(doc, path, default_scale, default_exp):
-    if doc is None:
-        return StepSizeSchedule.polynomial(default_scale, default_exp)
-    _expect_mapping(doc, path)
-    _check_keys(doc, {"kind", "scale", "exponent"}, path)
-    kind = _get(doc, "kind", path, default="polynomial")
-    if kind not in _SCHEDULE_KINDS:
-        raise ConfigError(f"{path}.kind", f"unknown schedule kind {kind!r}; valid: {list(_SCHEDULE_KINDS)}")
-    scale = _as_number(_get(doc, "scale", path, default=default_scale), f"{path}.scale")
-    if scale < 0:
-        raise ConfigError(f"{path}.scale", "must be nonnegative")
-    if kind == "constant":
-        return StepSizeSchedule.constant(scale)
-    exponent = _as_number(_get(doc, "exponent", path, default=default_exp), f"{path}.exponent")
-    if exponent <= 0:
-        raise ConfigError(f"{path}.exponent", "polynomial schedules need a positive exponent")
-    return StepSizeSchedule.polynomial(scale, exponent)
-
-
-def _parse_early_stop(doc, path="early_stop"):
-    if doc is None:
-        return None
-    _expect_mapping(doc, path)
-    _check_keys(doc, {"disagreement", "actor_update", "patience"}, path)
-    return EarlyStop(
-        disagreement=_as_number(_get(doc, "disagreement", path, required=True), f"{path}.disagreement"),
-        actor_update=_as_number(_get(doc, "actor_update", path, required=True), f"{path}.actor_update"),
-        patience=_as_int(_get(doc, "patience", path, default=100), f"{path}.patience", minimum=1),
-    )
-
-
-_TOP_KEYS = {
-    "n_agents", "rounds", "seed", "mdp", "graph", "trim_f", "features",
-    "critic_step", "actor_step", "adversaries", "log_interval", "record_trims",
-    "check_regular_hull", "snapshot_params", "reward_noise", "initial_state",
-    "early_stop", "out",
+_GRAPHS = {
+    "ring": lambda n, spec: GraphSchedule.ring(n),
+    "star": lambda n, spec: GraphSchedule.star(n),
+    "complete": lambda n, spec: GraphSchedule.complete(n),
+    "erdos_renyi": lambda n, spec: GraphSchedule.erdos_renyi(n, spec.p, spec.seed),
+    "edges": lambda n, spec: GraphSchedule.periodic(n, spec.phases or (spec.edges,)),
 }
+
+
+@dataclass(frozen=True, kw_only=True)
+class MdpSpec:
+    """The environment: a random MDP drawn from a seed, or one loaded from a file."""
+
+    kind: str = _rule(("random", "file"), "random", message="unknown mdp kind {!r}; use 'random' or 'file'")
+    n_states: int | None = _rule(int, minimum=2, when=("random",))
+    actions_per_agent: tuple[int, ...] | None = _rule(_actions, when=("random",))
+    reward_range: tuple[float, float] = _rule(_reward_range, (0.0, 4.0), when=("random",))
+    seed: int | None = _rule(int, None, minimum=0, when=("random",))
+    path: str | None = _rule(str, when=("file",))
+
+
+@dataclass(frozen=True, kw_only=True)
+class GraphSpec:
+    """The communication graph: a named topology, an edge list, or a periodic schedule of edge lists."""
+
+    topology: str = _rule(tuple(_GRAPHS), message="unknown topology {!r}; valid: {}")
+    p: float | None = _rule(float, when=("erdos_renyi",),
+                           reject=(lambda x: not 0.0 <= x <= 1.0, "edge probability must lie in [0, 1]"))
+    seed: int = _rule(int, 0, minimum=0, when=("erdos_renyi",))
+    edges: tuple | None = _rule(_edges, _OMIT, when=("edges",))
+    phases: tuple | None = _rule(_phases, _OMIT, when=("edges",))
+    require_connected: bool = _rule(bool, True)
+
+
+@dataclass(frozen=True, kw_only=True)
+class AdversarySpec:
+    """Which agents are adversarial (given ids or a random count) and the strategy they run."""
+
+    strategy: str = _rule(tuple(sorted(STRATEGY_NAMES)), message="unknown strategy {!r}; valid: {}")
+    params: tuple = _rule(_PARAMS, {})
+    ids: tuple[int, ...] | None = _rule(_ids, _OMIT)
+    count: int | None = _rule(int, _OMIT, minimum=0)
+    enforce_f_local: bool = _rule(bool, True)
+
+    def params_dict(self):
+        return dict(self.params)
+
+
+@dataclass(frozen=True, kw_only=True)
+class FeatureSpec:
+    """The critic's features: tabular (one-hot), or a seeded random projection to ``dim``."""
+
+    kind: str = _rule(("tabular", "projection"), "tabular", message="unknown feature kind {!r}; valid: {}")
+    dim: int | None = _rule(int, minimum=1, when=("projection",))
+    seed: int = _rule(int, 0, minimum=0, when=("projection",))
+
+
+def _graph_spec(topology, edges=None, phases=None, **values):
+    # a periodic schedule (phases) takes the place of a static edge list
+    if topology == "edges" and edges is None and phases is None:
+        raise ConfigError("graph", "missing required field 'edges'")
+    return GraphSpec(topology=topology, edges=edges if phases is None else None, phases=phases, **values)
+
+
+def _adversary_spec(ids=None, count=None, **values):
+    if (ids is None) == (count is None):
+        raise ConfigError("adversaries", "give exactly one of 'ids' or 'count'")
+    return AdversarySpec(ids=ids, count=count, **values)
+
+
+_MDP = _section(MdpSpec, by="kind", strict=True)
+_GRAPH = _section(GraphSpec, _graph_spec, by="topology", misplaced="{} only apply to topology {!r}, not {!r}")
+_ADVERSARIES = _section(AdversarySpec, _adversary_spec)
+_FEATURES = _section(FeatureSpec, by="kind")
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig:
+    """Fully resolved run description; every default is made explicit."""
+
+    n_agents: int = _rule(int, minimum=1)
+    rounds: int = _rule(int, minimum=0)
+    seed: int = _rule(int, 0, minimum=0)
+    mdp: MdpSpec = _rule(_MDP)
+    graph: GraphSpec = _rule(_GRAPH)
+    trim_f: int = _rule(int, 0, minimum=0)
+    features: FeatureSpec = _rule(_FEATURES, {})
+    critic_step: StepSizeSchedule = _rule(_schedule(0.65), {})
+    actor_step: StepSizeSchedule = _rule(_schedule(0.85), {})
+    adversaries: AdversarySpec | None = _rule(_ADVERSARIES, None)
+    log_interval: int = _rule(int, 100, minimum=1)
+    record_trims: bool = _rule(bool, True)
+    check_regular_hull: bool = _rule(bool, False)
+    snapshot_params: bool = _rule(bool, False)
+    reward_noise: float = _rule(float, 0.0, finite=True, reject=(lambda x: x < 0, "must be nonnegative"))
+    initial_state: int = _rule(int, 0, minimum=0)
+    early_stop: EarlyStop | None = _rule(_EARLY_STOP, None)
+    out: str | None = _rule(str, None)
+
+    def to_dict(self) -> dict:
+        return _echo(_CONFIG, self)
+
+    def to_yaml(self) -> str:
+        return yaml.safe_dump(self.to_dict(), sort_keys=True)
+
+
+_CONFIG = _section(ExperimentConfig)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Validate a raw mapping and resolve every default."""
-    _expect_mapping(doc, "<config>")
-    _check_keys(doc, _TOP_KEYS, "<config>")
-    n_agents = _as_int(_get(doc, "n_agents", "<config>", required=True), "n_agents", minimum=1)
-    rounds = _as_int(_get(doc, "rounds", "<config>", required=True), "rounds", minimum=0)
-    seed = _as_int(_get(doc, "seed", "<config>", default=0), "seed")
-    mdp_spec = _parse_mdp(_get(doc, "mdp", "<config>", required=True))
-    graph_spec = _parse_graph(_get(doc, "graph", "<config>", required=True))
-    trim_f = _as_int(_get(doc, "trim_f", "<config>", default=0), "trim_f", minimum=0)
-    features = _parse_features(_get(doc, "features", "<config>"))
-    critic = _parse_schedule(_get(doc, "critic_step", "<config>"), "critic_step", 1.0, 0.65)
-    actor = _parse_schedule(_get(doc, "actor_step", "<config>"), "actor_step", 1.0, 0.85)
-    adversaries = _parse_adversaries(_get(doc, "adversaries", "<config>"))
-    log_interval = _as_int(_get(doc, "log_interval", "<config>", default=100), "log_interval", minimum=1)
-    reward_noise = _as_number(_get(doc, "reward_noise", "<config>", default=0.0), "reward_noise")
-    if reward_noise < 0:
-        raise ConfigError("reward_noise", "must be nonnegative")
-    cfg = ExperimentConfig(
-        n_agents=n_agents,
-        rounds=rounds,
-        seed=seed,
-        mdp=mdp_spec,
-        graph=graph_spec,
-        trim_f=trim_f,
-        features=features,
-        critic_step=critic,
-        actor_step=actor,
-        adversaries=adversaries,
-        log_interval=log_interval,
-        record_trims=_as_bool(_get(doc, "record_trims", "<config>", default=True), "record_trims"),
-        check_regular_hull=_as_bool(
-            _get(doc, "check_regular_hull", "<config>", default=False), "check_regular_hull"
-        ),
-        snapshot_params=_as_bool(
-            _get(doc, "snapshot_params", "<config>", default=False), "snapshot_params"
-        ),
-        reward_noise=reward_noise,
-        initial_state=_as_int(_get(doc, "initial_state", "<config>", default=0), "initial_state", minimum=0),
-        early_stop=_parse_early_stop(_get(doc, "early_stop", "<config>")),
-        out=_get(doc, "out", "<config>"),
-    )
+    cfg = _parse(_CONFIG, doc, _TOP)
     _cross_validate(cfg)
     return cfg
 
@@ -434,8 +436,9 @@ def _cross_validate(cfg: ExperimentConfig):
                 "mdp.actions_per_agent",
                 f"got {len(n_acts)} entries for {cfg.n_agents} agents",
             )
-        counts = n_acts if len(n_acts) == cfg.n_agents else n_acts * cfg.n_agents
-        if math.prod(counts) > 4096:
+        # every agent has 2 or more actions, so 13 of them already pass the cap
+        n_joint = math.prod(n_acts) if len(n_acts) > 1 else n_acts[0] ** min(cfg.n_agents, 13)
+        if n_joint > 4096:
             raise ConfigError("mdp.actions_per_agent", "joint action space exceeds the cap of 4096")
     if cfg.adversaries is not None and cfg.adversaries.ids is not None:
         bad = [i for i in cfg.adversaries.ids if i >= cfg.n_agents]
@@ -448,15 +451,21 @@ def _cross_validate(cfg: ExperimentConfig):
             raise ConfigError("adversaries.count", "at least one agent must stay regular")
     if cfg.critic_step.at(0) > 1.0:
         raise ConfigError("critic_step.scale", "critic step must start within [0, 1]")
-    if cfg.features.kind == "projection" and cfg.mdp.kind == "random":
-        counts = (
-            cfg.mdp.actions_per_agent
-            if len(cfg.mdp.actions_per_agent) == cfg.n_agents
-            else cfg.mdp.actions_per_agent * cfg.n_agents
-        )
-        full = cfg.mdp.n_states * math.prod(counts)
-        if cfg.features.dim > full:
-            raise ConfigError("features.dim", f"projection dim exceeds the tabular size {full}")
+    if cfg.mdp.kind == "random":
+        _check_sizes(cfg, cfg.mdp.n_states, n_joint)
+
+
+def _check_sizes(cfg: ExperimentConfig, n_states: int, n_joint: int):
+    """Bounds set by the MDP's size: known while parsing a random MDP, once loaded for a file."""
+    full = n_states * n_joint
+    if cfg.features.kind == "projection" and cfg.features.dim > full:
+        raise ConfigError("features.dim", f"projection dim exceeds the tabular size {full}")
+    if cfg.initial_state >= n_states:
+        raise ConfigError("initial_state", f"must be < {n_states}, the number of states, got {cfg.initial_state}")
+    dim = cfg.features.dim if cfg.features.kind == "projection" else full
+    for name, value in cfg.adversaries.params if cfg.adversaries else ():
+        if isinstance(value, tuple) and len(value) not in (1, dim):
+            raise ConfigError(f"adversaries.params.{name}", f"got {len(value)} entries for critic dim {dim}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -464,7 +473,7 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        raise ConfigError("<config>", f"unparseable document: {exc}") from exc
+        raise ConfigError(_TOP, f"unparseable document: {exc}") from exc
     return config_from_dict(doc)
 
 
@@ -479,6 +488,7 @@ def _build_mdp(cfg: ExperimentConfig) -> Mdp:
         mdp = Mdp.load(spec.path)
         if mdp.n_agents != cfg.n_agents:
             raise ConfigError("mdp.path", f"file has {mdp.n_agents} agents, config says {cfg.n_agents}")
+        _check_sizes(cfg, mdp.n_states, mdp.n_joint_actions)
         return mdp
     acts = spec.actions_per_agent
     if len(acts) == 1:
@@ -495,18 +505,7 @@ def _build_mdp(cfg: ExperimentConfig) -> Mdp:
 def _build_graph(cfg: ExperimentConfig, enforce_connected: bool = True) -> GraphSchedule:
     spec = cfg.graph
     n = cfg.n_agents
-    if spec.topology == "ring":
-        g = GraphSchedule.ring(n)
-    elif spec.topology == "star":
-        g = GraphSchedule.star(n)
-    elif spec.topology == "complete":
-        g = GraphSchedule.complete(n)
-    elif spec.topology == "erdos_renyi":
-        g = GraphSchedule.erdos_renyi(n, spec.p, spec.seed)
-    elif spec.phases is not None:
-        g = GraphSchedule.periodic(n, spec.phases)
-    else:
-        g = GraphSchedule.from_edges(n, spec.edges)
+    g = _GRAPHS[spec.topology](n, spec)
     if spec.require_connected and enforce_connected:
         # for a periodic schedule, connectivity of the union of phases is
         # what consensus over a full period needs
@@ -514,12 +513,6 @@ def _build_graph(cfg: ExperimentConfig, enforce_connected: bool = True) -> Graph
         if not union.is_connected():
             raise ConfigError("graph", "graph is disconnected but require_connected is set")
     return g
-
-
-def _build_strategy(spec: AdversarySpec):
-    params = spec.params_dict()
-    cls = STRATEGY_NAMES[spec.strategy]
-    return cls(**params)
 
 
 def resolve_graph(cfg: ExperimentConfig, enforce_f_local: bool = True) -> GraphSchedule:
@@ -560,7 +553,7 @@ def build_simulation(cfg: ExperimentConfig) -> Simulation:
     graph = resolve_graph(cfg, enforce_f_local=True)
     strategies = {}
     if cfg.adversaries is not None and graph.adversary_set:
-        strategy = _build_strategy(cfg.adversaries)
+        strategy = STRATEGY_NAMES[cfg.adversaries.strategy](**cfg.adversaries.params_dict())
         strategies = {i: strategy for i in graph.adversary_set}
     if cfg.features.kind == "tabular":
         features = TabularJointFeatures(mdp.n_states, mdp.n_joint_actions)

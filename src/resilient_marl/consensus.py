@@ -58,6 +58,8 @@ class TrimResult:
         """
         k = self.mask.shape[-2]
         m = math.prod(self.mask.shape[:-2])
+        if self.f == 0:  # every message survives
+            return [()] * m
         dropped = ~self.mask.any(axis=-1).reshape(m, k)
         senders = np.reshape(self.senders, (m, k))
         out = [()] * m
@@ -116,7 +118,12 @@ def consensus_combine(
             "pairwise weights of the survivors exceed 1; rows would not be stochastic"
         )
     self_weight = 1.0 - neighbor_weight
-    return self_weight * own + (weighted_mask * trimmed.values).sum(axis=-2)
+    values = trimmed.values
+    if not np.isfinite(values).all():
+        # a trimmed ±inf must add nothing, not 0 * inf = NaN; the check costs
+        # far less per call than this np.where
+        values = np.where(trimmed.mask, values, 0.0)
+    return self_weight * own + (weighted_mask * values).sum(axis=-2)
 
 
 # -- adversary strategies ---------------------------------------------

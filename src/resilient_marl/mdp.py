@@ -7,6 +7,7 @@ model is a dense (S, A, S) tensor with O(1) lookup.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -83,6 +84,11 @@ class Mdp:
             raise ValueError("every transition slice P(.|s,a) must sum to 1")
         if not np.isfinite(self.rewards).all():
             raise ValueError("rewards must be finite")
+
+    @functools.cached_property
+    def transition_cdf(self) -> np.ndarray:
+        """Cumulative P(.|s, a) rows, built once for sample_transition."""
+        return np.cumsum(self.transition, axis=-1)
 
     @property
     def n_joint_actions(self) -> int:
@@ -252,8 +258,7 @@ def sample_transition(mdp: Mdp, s: int, a: int, rng: np.random.Generator) -> int
         raise IndexError(f"state index {s} out of range")
     if not (0 <= a < mdp.n_joint_actions):
         raise IndexError(f"joint-action index {a} out of range")
-    cdf = np.cumsum(mdp.transition[s, a])
-    nxt = int(np.searchsorted(cdf, rng.random(), side="right"))
+    nxt = int(np.searchsorted(mdp.transition_cdf[s, a], rng.random(), side="right"))
     return min(nxt, mdp.n_states - 1)
 
 

@@ -94,6 +94,46 @@ class TestParseConfig:
         again = parse_config(cfg.to_yaml())
         assert again == cfg
 
+    def test_echo_is_fixed(self):
+        """The echo is hashed into every run's artifacts (config_sha256), so its form is fixed."""
+        common = {
+            "n_agents": 3, "rounds": 50, "seed": 0, "trim_f": 0,
+            "mdp": {"kind": "random", "n_states": 3, "actions_per_agent": [2],
+                    "reward_range": [0.0, 4.0], "seed": None},
+            "critic_step": {"kind": "polynomial", "scale": 1.0, "exponent": 0.65},
+            "actor_step": {"kind": "polynomial", "scale": 1.0, "exponent": 0.85},
+            "log_interval": 100, "record_trims": True, "check_regular_hull": False,
+            "snapshot_params": False, "reward_noise": 0.0, "initial_state": 0,
+            "early_stop": None, "out": None,
+        }
+        cfg = small_config(
+            graph={"topology": "edges", "phases": [[[0, 1]], [[1, 2], [2, 0]]], "edges": [[0, 1]]},
+            features={"kind": "tabular", "dim": 7},
+            critic_step={"kind": "constant", "scale": 0.5, "exponent": 2},
+            adversaries={"count": 1, "strategy": "noise", "params": {"scale": 2}},
+        )
+        assert cfg.to_dict() == {
+            **common,
+            "graph": {"topology": "edges", "phases": [[[0, 1]], [[1, 2], [2, 0]]], "require_connected": True},
+            "features": {"kind": "tabular"},
+            "critic_step": {"kind": "constant", "scale": 0.5, "exponent": 0.0},
+            "adversaries": {"strategy": "noise", "params": {"scale": 2}, "enforce_f_local": True, "count": 1},
+        }
+        cfg = small_config(
+            graph={"topology": "erdos_renyi", "p": 1},
+            features={"kind": "projection", "dim": 4},
+            adversaries={"ids": [2, 0], "strategy": "constant", "params": {"value": 3}},
+            early_stop={"disagreement": 1, "actor_update": 0.5},
+        )
+        assert cfg.to_dict() == {
+            **common,
+            "graph": {"topology": "erdos_renyi", "p": 1.0, "seed": 0, "require_connected": True},
+            "features": {"kind": "projection", "dim": 4, "seed": 0},
+            "adversaries": {"strategy": "constant", "params": {"value": 3}, "enforce_f_local": True,
+                            "ids": [0, 2]},
+            "early_stop": {"disagreement": 1.0, "actor_update": 0.5, "patience": 100},
+        }
+
     def test_unparseable_document(self):
         with pytest.raises(ConfigError, match="unparseable"):
             parse_config("n_agents: [unclosed")
@@ -255,6 +295,40 @@ class TestCliMain:
         path.write_text("rounds: 5\n")
         assert main(["run", "--config", str(path), "--quiet", "--out", str(tmp_path / "y")]) == 2
         assert "n_agents" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, path", [
+        ({"mdp": {"actions_per_agent": 1}}, "mdp.actions_per_agent"),
+        ({"mdp": {"actions_per_agent": True}}, "mdp.actions_per_agent"),
+        ({"seed": -1}, "seed"),
+        ({"mdp": {"seed": -1}}, "mdp.seed"),
+        ({"features": {"kind": "projection", "dim": 4, "seed": -1}}, "features.seed"),
+        ({"graph": {"topology": "erdos_renyi", "p": 1.0, "seed": -1}}, "graph.seed"),
+        ({"initial_state": 9}, "initial_state"),
+        ({"reward_noise": float("inf")}, "reward_noise"),
+        ({"mdp": {"reward_range": [0, float("nan")]}}, "mdp.reward_range[1]"),
+        ({"out": 5}, "out"),
+        ({"adversaries": {"ids": [0], "strategy": "constant", "params": {"value": "abc"}}},
+         "adversaries.params.value"),
+        ({"adversaries": {"ids": [0], "strategy": "noise", "params": {"scale": 1.0, "seed": "x"}}},
+         "adversaries.params.seed"),
+        ({"n_agents": 5, "adversaries": {"ids": [0], "strategy": "drift",  # critic dim 3 * 2**5 = 96
+                                         "params": {"start": [1, 2], "rate": 0.1}}},
+         "adversaries.params.start"),
+    ])
+    def test_bad_value_rejected_with_its_path(self, tmp_path, capsys, monkeypatch, overrides, path):
+        """A value the run could not use is a config error (exit 2) naming the field."""
+        monkeypatch.setenv("RESILIENT_MARL_OUT", str(tmp_path / "root"))
+        doc = yaml.safe_load(MINIMAL)
+        for key, value in overrides.items():
+            if isinstance(value, dict) and isinstance(doc.get(key), dict):
+                doc[key].update(value)
+            else:
+                doc[key] = value
+        config = tmp_path / "experiment.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        assert main(["run", "--config", str(config), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not (tmp_path / "root").exists()
 
     def test_check_graph_subcommand(self, tmp_path, capsys):
         path = self.write_config(tmp_path)

@@ -213,6 +213,13 @@ def _reference_case(name):
         g = GraphSchedule.complete(5, adversary_set={4}, trim_f=1)
         sim = make_sim(mdp, g, 150, strategies={4: ConstantStrategy(7.5)})
         return sim, dict(trim_f=1, adversaries={4: ("constant", 7.5)})
+    if name in ("trim_inf", "trim_neg_inf"):
+        # a trimmed ±inf must add nothing to the mix, not 0 * inf = NaN
+        value = math.inf if name == "trim_inf" else -math.inf
+        mdp = generate_random_mdp(5, 3, 2, (0.0, 4.0), seed=35)
+        g = GraphSchedule.complete(5, adversary_set={4}, trim_f=1)
+        sim = make_sim(mdp, g, 40, strategies={4: ConstantStrategy(value)})
+        return sim, dict(trim_f=1, adversaries={4: ("constant", value)})
     if name == "trim_ties_f2":
         # two adversaries sending the same value force ties at every coordinate
         mdp = generate_random_mdp(6, 2, 2, (0.0, 4.0), seed=31)
@@ -246,7 +253,8 @@ def _reference_case(name):
 
 class TestEngineMatchesReference:
     @pytest.mark.parametrize("case", [
-        "trim_constant", "trim_ties_f2", "drift_periodic", "heterogeneous_noise", "projection",
+        "trim_constant", "trim_inf", "trim_neg_inf", "trim_ties_f2", "drift_periodic",
+        "heterogeneous_noise", "projection",
     ])
     def test_bitwise_equal_snapshots(self, case):
         """Every agent's theta, omega and reward tracker equal the reference's, every
@@ -267,6 +275,14 @@ class TestEngineMatchesReference:
                 assert np.array_equal(np.array(row.params["theta"][i]), thetas[i]), (row.t, i)
                 assert np.array_equal(np.array(row.params["omega"][i]), omegas[i]), (row.t, i)
                 assert row.params["avg_reward"][i] == mus[i], (row.t, i)
+
+    @pytest.mark.parametrize("case", ["trim_inf", "trim_neg_inf"])
+    def test_infinite_broadcaster_trimmed_every_round(self, case):
+        sim, _ = _reference_case(case)
+        log = run(sim)
+        assert log.metadata["rounds_executed"] == sim.n_rounds
+        trimmed = [(t, i) for t, i, senders in log.trim_events if 4 in senders]
+        assert trimmed == [(t, i) for t in range(sim.n_rounds) for i in range(4)]
 
 
 class TestReceiverGroups:

@@ -280,9 +280,10 @@ class TestStationaryDistribution:
 
 def test_import_leaves_scipy_unloaded():
     code = (
-        "import sys, resilient_marl\n"
+        "import sys, resilient_marl, resilient_marl.cli\n"
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert not loaded, loaded\n"
+        "assert 'concurrent.futures' not in sys.modules  # only a parallel sweep needs it\n"
     )
     env = dict(os.environ)
     src = str(Path(resilient_marl.__file__).resolve().parents[1])
