@@ -1,6 +1,6 @@
 """Print the sha256 of every deterministic artifact of a fixed set of runs.
 
-    PYTHONPATH=src python3 scripts/artifact_digests.py [--quick]
+    PYTHONPATH=src python3 scripts/artifact_digests.py
 
 Runs each experiment below through ``resilient_marl.cli`` in a temporary
 directory and prints one line per artifact: run name, file name, digest.
@@ -16,12 +16,10 @@ only) at seeds 1, 2 and 7; ``demos/configs/cooperative.yaml`` and
 five small configs that reach what those do not (heterogeneous action
 counts with a selfish adversary, an Erdos-Renyi graph with drift and
 reward noise, f=2 with two constant and with two noise adversaries, and an
-early stop). ``--quick`` leaves out the demos and the sweep, which take
-most of the time.
+early stop).
 """
 from __future__ import annotations
 
-import argparse
 import copy
 import hashlib
 import sys
@@ -75,14 +73,13 @@ def _small_configs():
     }
 
 
-def _runs(quick):
+def _runs():
     for name in ("coop_ring", "defense_complete", "projection_periodic"):
         doc = _load(ROOT / "bench" / "workloads" / f"{name}.yaml")
         for seed in WORKLOAD_SEEDS:
             yield f"{name}.seed{seed}", dict(doc, seed=seed)
-    if not quick:
-        for name in ("cooperative", "defense"):
-            yield name, _load(ROOT / "demos" / "configs" / f"{name}.yaml")
+    for name in ("cooperative", "defense"):
+        yield name, _load(ROOT / "demos" / "configs" / f"{name}.yaml")
     yield from _small_configs().items()
 
 
@@ -90,13 +87,10 @@ def _digests(out_dir):
     return [(name, hashlib.sha256((out_dir / name).read_bytes()).hexdigest()) for name in ARTIFACTS]
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="leave out the demos and the sweep")
-    args = parser.parse_args(argv)
+def main():
     with tempfile.TemporaryDirectory(prefix="artifact-digests-") as tmp:
         tmp = Path(tmp)
-        for name, doc in _runs(args.quick):
+        for name, doc in _runs():
             try:
                 run_experiment(config_from_dict(doc), tmp / name, quiet=True)
             except Exception as exc:  # report and go on: the diff shows it
@@ -104,12 +98,11 @@ def main(argv=None):
                 continue
             for artifact, digest in _digests(tmp / name):
                 print(f"{name} {artifact} {digest}")
-        if not args.quick:
-            sweep = _load(ROOT / "demos" / "configs" / "f_sweep.yaml")
-            run_sweep(sweep, tmp / "f_sweep", quiet=True)
-            for entry in sweep["runs"]:
-                for artifact, digest in _digests(tmp / "f_sweep" / entry["name"]):
-                    print(f"f_sweep/{entry['name']} {artifact} {digest}")
+        sweep = _load(ROOT / "demos" / "configs" / "f_sweep.yaml")
+        run_sweep(sweep, tmp / "f_sweep", quiet=True)
+        for entry in sweep["runs"]:
+            for artifact, digest in _digests(tmp / "f_sweep" / entry["name"]):
+                print(f"f_sweep/{entry['name']} {artifact} {digest}")
     return 0
 
 

@@ -162,21 +162,16 @@ class Field(NamedTuple):
 class Section(NamedTuple):
     """A mapping's fields and the spec built from them.
 
-    ``by`` names the discriminator that ``Field.when`` refers to; a
-    section without that field takes it from the enclosing one. A field
-    that does not apply is unknown when ``strict``, an error formatted by
-    ``misplaced`` when that is set, and ignored otherwise. ``missing``
-    formats the error for an absent required field, and ``echo``, when
-    set, writes the spec back in place of the fields.
+    ``by`` names the discriminator that ``Field.when`` refers to; a section
+    without that field takes it from the enclosing one, and a field that
+    does not apply is ignored. ``check``, when set, sees the raw mapping
+    and that kind before the fields are read, for rules that span fields.
     """
 
     fields: tuple[Field, ...]
     make: Callable
     by: str | None = None
-    strict: bool = False
-    misplaced: str | None = None
-    missing: str = "missing required field '{name}'"
-    echo: Callable | None = None
+    check: Callable | None = None
 
 
 def _rule(type, default=_REQUIRED, **limits):
@@ -202,39 +197,35 @@ def _section(spec, make=None, **options) -> Section:
 
 
 def _parse(section: Section, doc, path: str, kind=None):
-    """Check ``doc`` against ``section``'s fields and build its spec."""
+    """Check ``doc`` against ``section``'s fields and build its spec.
+
+    The first fault met is reported: not a mapping, the section's check,
+    unknown keys, then each field in declaration order.
+    """
     if not isinstance(doc, dict):
         raise ConfigError(path, f"expected a mapping, got {type(doc).__name__}")
-    prefix = "" if path == _TOP else f"{path}."
+    if section.check:
+        section.check(doc, path, kind)
+    _check_keys(doc, [f.name for f in section.fields], path)
     values = {}
-
-    def read(f):
-        value = doc.get(f.name)
-        if value is None:
-            value = f.default
-            if value is _REQUIRED:
-                needs = " and ".join(
-                    repr(g.name) for g in section.fields if g.default is _REQUIRED and g.applies(kind)
-                )
-                raise ConfigError(path, section.missing.format(name=f.name, kind=kind, needs=needs))
-            if not isinstance(value, dict):  # a section's {} is parsed for its defaults
-                return value
-        return _value(f, value, prefix + f.name, values)
-
     for f in section.fields:
-        if f.name == section.by:
-            kind = values[f.name] = read(f)
-    _check_keys(doc, [f.name for f in section.fields if not section.strict or f.applies(kind)], path)
-    for f in section.fields:
-        if f.name in values:
-            continue
-        if not f.applies(kind):
-            if section.misplaced and f.name in doc:
-                names = "/".join(sorted(g.name for g in section.fields if g.when == f.when))
-                raise ConfigError(path, section.misplaced.format(names, f.when[0], kind))
-        elif (value := read(f)) is not _OMIT:
+        if f.applies(kind) and (value := _field(f, doc, path, values)) is not _OMIT:
             values[f.name] = value
+            if f.name == section.by:
+                kind = value
     return section.make(**values)
+
+
+def _field(f: Field, doc: dict, path: str, outer: dict):
+    """The field's parsed value, its default, or _OMIT."""
+    value = doc.get(f.name)
+    if value is None:
+        if f.default is _REQUIRED:
+            raise ConfigError(path, f"missing required field '{f.name}'")
+        if not isinstance(f.default, dict):  # a section's {} is parsed for its defaults
+            return f.default
+        value = f.default
+    return _value(f, value, f.name if path == _TOP else f"{path}.{f.name}", outer)
 
 
 def _value(f: Field, value, path: str, outer: dict):
@@ -261,8 +252,6 @@ def _value(f: Field, value, path: str, outer: dict):
 
 def _echo(section: Section, spec, kind=None) -> dict:
     """The document that parses back to ``spec``."""
-    if section.echo:
-        return section.echo(spec)
     values = dict(spec) if isinstance(spec, tuple) else vars(spec)
     kind = values.get(section.by, kind)
     doc = {}
@@ -277,28 +266,43 @@ def _echo(section: Section, spec, kind=None) -> dict:
 
 
 def _plain(value):
-    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.to_dict() if isinstance(value, StepSizeSchedule) else value
 
 
 # -- the sections -------------------------------------------------------------
 
 
-def _schedule(exponent: float) -> Section:
-    return Section(
+def _schedule(exponent: float):
+    """A step-size schedule's parser; the schedule echoes itself, exponent included."""
+    section = Section(
         (
             Field("kind", ("constant", "polynomial"), "polynomial", message="unknown schedule kind {!r}; valid: {}"),
             Field("scale", float, 1.0, reject=(lambda x: x < 0, "must be nonnegative")),
             Field("exponent", float, exponent, when=("polynomial",),
                   reject=(lambda x: x <= 0, "polynomial schedules need a positive exponent")),
         ),
-        StepSizeSchedule, by="kind", echo=StepSizeSchedule.to_dict,
+        StepSizeSchedule, by="kind",
     )
+    return partial(_parse, section)
 
 
 _EARLY_STOP = Section(
     (Field("disagreement", float), Field("actor_update", float), Field("patience", int, 100, minimum=1)),
     EarlyStop,
 )
+
+
+def _params_check(doc, path, strategy):
+    # a strategy takes only its own params, and needs all but a noise seed,
+    # before any value is read
+    fields = [f for f in _PARAMS.fields if f.applies(strategy)]
+    _check_keys(doc, [f.name for f in fields], path)
+    needs = [f.name for f in fields if f.default is _REQUIRED]
+    if any(doc.get(name) is None for name in needs):
+        raise ConfigError(path, f"{strategy} strategy needs {' and '.join(map(repr, needs))}")
+
 
 _PARAMS = Section(
     (
@@ -309,7 +313,7 @@ _PARAMS = Section(
         Field("seed", int, _OMIT, minimum=0, when=("noise",)),
     ),
     lambda **params: tuple(sorted(params.items())),
-    by="strategy", strict=True, missing="{kind} strategy needs {needs}",
+    by="strategy", check=_params_check,
 )
 
 _GRAPHS = {
@@ -341,8 +345,8 @@ class GraphSpec:
     p: float | None = _rule(float, when=("erdos_renyi",),
                            reject=(lambda x: not 0.0 <= x <= 1.0, "edge probability must lie in [0, 1]"))
     seed: int = _rule(int, 0, minimum=0, when=("erdos_renyi",))
-    edges: tuple | None = _rule(_edges, _OMIT, when=("edges",))
     phases: tuple | None = _rule(_phases, _OMIT, when=("edges",))
+    edges: tuple | None = _rule(_edges, _OMIT, when=("edges",))
     require_connected: bool = _rule(bool, True)
 
 
@@ -369,11 +373,30 @@ class FeatureSpec:
     seed: int = _rule(int, 0, minimum=0, when=("projection",))
 
 
-def _graph_spec(topology, edges=None, phases=None, **values):
+def _mdp_check(doc, path, _):
+    # the kind decides which fields are allowed, so it is read first
+    kind = doc.get("kind")
+    kind = "random" if kind is None else _value(_MDP.fields[0], kind, f"{path}.kind", {})
+    _check_keys(doc, [f.name for f in _MDP.fields if f.applies(kind)], path)
+
+
+def _graph_check(doc, path, _):
+    # p/seed and edges/phases belong to one topology each; checked once the
+    # keys and the topology are known, before any other field is read
+    _check_keys(doc, [f.name for f in _GRAPH.fields], path)
+    topology = doc.get("topology")
+    if not (isinstance(topology, str) and topology in _GRAPHS):
+        return
+    for names, owner in ((("edges", "phases"), "edges"), (("p", "seed"), "erdos_renyi")):
+        if topology != owner and any(name in doc for name in names):
+            raise ConfigError(path, f"{'/'.join(names)} only apply to topology {owner!r}, not {topology!r}")
+    if topology == "edges" and doc.get("edges") is None and doc.get("phases") is None:
+        raise ConfigError(path, "missing required field 'edges'")
+
+
+def _graph_spec(edges=None, phases=None, **values):
     # a periodic schedule (phases) takes the place of a static edge list
-    if topology == "edges" and edges is None and phases is None:
-        raise ConfigError("graph", "missing required field 'edges'")
-    return GraphSpec(topology=topology, edges=edges if phases is None else None, phases=phases, **values)
+    return GraphSpec(edges=edges if phases is None else None, phases=phases, **values)
 
 
 def _adversary_spec(ids=None, count=None, **values):
@@ -382,15 +405,18 @@ def _adversary_spec(ids=None, count=None, **values):
     return AdversarySpec(ids=ids, count=count, **values)
 
 
-_MDP = _section(MdpSpec, by="kind", strict=True)
-_GRAPH = _section(GraphSpec, _graph_spec, by="topology", misplaced="{} only apply to topology {!r}, not {!r}")
+_MDP = _section(MdpSpec, by="kind", check=_mdp_check)
+_GRAPH = _section(GraphSpec, _graph_spec, by="topology", check=_graph_check)
 _ADVERSARIES = _section(AdversarySpec, _adversary_spec)
 _FEATURES = _section(FeatureSpec, by="kind")
 
 
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """Fully resolved run description; every default is made explicit."""
+    """Fully resolved run description; every default is made explicit.
+
+    Fields are read, and faults reported, in the order declared here.
+    """
 
     n_agents: int = _rule(int, minimum=1)
     rounds: int = _rule(int, minimum=0)
@@ -403,10 +429,10 @@ class ExperimentConfig:
     actor_step: StepSizeSchedule = _rule(_schedule(0.85), {})
     adversaries: AdversarySpec | None = _rule(_ADVERSARIES, None)
     log_interval: int = _rule(int, 100, minimum=1)
+    reward_noise: float = _rule(float, 0.0, finite=True, reject=(lambda x: x < 0, "must be nonnegative"))
     record_trims: bool = _rule(bool, True)
     check_regular_hull: bool = _rule(bool, False)
     snapshot_params: bool = _rule(bool, False)
-    reward_noise: float = _rule(float, 0.0, finite=True, reject=(lambda x: x < 0, "must be nonnegative"))
     initial_state: int = _rule(int, 0, minimum=0)
     early_stop: EarlyStop | None = _rule(_EARLY_STOP, None)
     out: str | None = _rule(str, None)

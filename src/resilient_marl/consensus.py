@@ -120,9 +120,10 @@ def consensus_combine(
     self_weight = 1.0 - neighbor_weight
     values = trimmed.values
     if not np.isfinite(values).all():
-        # a trimmed ±inf must add nothing, not 0 * inf = NaN; the check costs
-        # far less per call than this np.where
-        values = np.where(trimmed.mask, values, 0.0)
+        # a trimmed ±inf must add nothing, not 0 * inf = NaN, while a NaN
+        # stays NaN so the run stops; the check costs far less per call
+        # than this np.where
+        values = np.where(trimmed.mask | np.isnan(values), values, 0.0)
     return self_weight * own + (weighted_mask * values).sum(axis=-2)
 
 

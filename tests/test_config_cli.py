@@ -83,6 +83,32 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="p/seed"):
             small_config(graph={"topology": "complete", "p": 0.5})
 
+    @pytest.mark.parametrize("section, value, message", [
+        ("graph", {"zz": 1}, "graph: unknown field(s) ['zz']; allowed: "
+         "['edges', 'p', 'phases', 'require_connected', 'seed', 'topology']"),
+        ("graph", {"topology": "ring", "edges": [], "p": 0.5},
+         "graph: edges/phases only apply to topology 'edges', not 'ring'"),
+        ("graph", {"topology": "edges", "p": 0.5},
+         "graph: p/seed only apply to topology 'erdos_renyi', not 'edges'"),
+        ("graph", {"topology": "edges", "edges": "x", "phases": "y"},
+         "graph.phases: expected a nonempty list of edge lists"),
+        ("mdp", {"kind": "wat", "zz": 1}, "mdp.kind: unknown mdp kind 'wat'; use 'random' or 'file'"),
+        ("mdp", {"kind": "file", "path": 5, "n_states": 3},
+         "mdp: unknown field(s) ['n_states']; allowed: ['kind', 'path']"),
+        ("adversaries", {"count": 1, "strategy": "drift", "params": {"start": "x"}},
+         "adversaries.params: drift strategy needs 'start' and 'rate'"),
+        ("reward_noise", -1, "reward_noise: must be nonnegative"),
+    ])
+    def test_first_of_two_faults_reported(self, section, value, message):
+        """Of two faults, the one the parser meets first is reported: unknown keys
+        before the kind, a kind's own fields right after it, then fields in order."""
+        doc = yaml.safe_load(MINIMAL)
+        doc[section] = value
+        doc["record_trims"] = "x"  # a later fault in every case
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(doc)
+        assert str(err.value) == message
+
     def test_round_trip_identity(self):
         cfg = small_config(
             trim_f=1,

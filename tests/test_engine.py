@@ -119,6 +119,14 @@ class TestRunBasics:
         with pytest.raises(NonFiniteParameterError):
             run(sim)
 
+    def test_trimmed_nan_payload_detected(self):
+        # trimming holds off ±inf, but a NaN broadcaster still stops the run
+        mdp = generate_random_mdp(5, 3, 2, (0.0, 4.0), seed=35)
+        g = GraphSchedule.complete(5, adversary_set={4}, trim_f=1)
+        sim = make_sim(mdp, g, 20, strategies={4: ConstantStrategy(math.nan)})
+        with pytest.raises(NonFiniteParameterError):
+            run(sim)
+
     def test_regular_span_violation_names_lowest_agent(self):
         # with f=0 agents 1 and 2 both mix in the far broadcast of agent 0
         mdp = generate_random_mdp(3, 3, 2, (0.0, 1.0), seed=3)
