@@ -15,8 +15,9 @@ only) at seeds 1, 2 and 7; ``demos/configs/cooperative.yaml`` and
 ``defense.yaml``; the three runs of ``demos/configs/f_sweep.yaml``; and
 five small configs that reach what those do not (heterogeneous action
 counts with a selfish adversary, an Erdos-Renyi graph with drift and
-reward noise, f=2 with two constant and with two noise adversaries, and an
-early stop).
+reward noise, f=2 with two constant and with two noise adversaries, an
+early stop, and complete(9) at f=0 and at f=2 with two constant adversaries
+sending the same value, the only configs with a degree of 8 or more).
 """
 from __future__ import annotations
 
@@ -70,6 +71,16 @@ def _small_configs():
             "ids": [1, 4], "strategy": "noise", "params": {"scale": 5.0, "seed": 2}}),
         "coop_ring_early_stop": dict(copy.deepcopy(coop), rounds=500, log_interval=7, early_stop={
             "disagreement": 1e9, "actor_update": 1e9, "patience": 10}),
+        "complete9_f0": {
+            "n_agents": 9, "rounds": 200, "seed": 8, "mdp": mdp,
+            "graph": {"topology": "complete"}, "log_interval": 10,
+        },
+        "complete9_f2_constant_ties": {
+            "n_agents": 9, "rounds": 200, "seed": 9, "mdp": mdp,
+            "graph": {"topology": "complete"}, "trim_f": 2, "log_interval": 10,
+            "check_regular_hull": True, "adversaries": {
+                "ids": [2, 6], "strategy": "constant", "params": {"value": 1.5}},
+        },
     }
 
 

@@ -49,7 +49,9 @@ from resilient_marl.consensus import (
     DriftStrategy,
     NoiseStrategy,
     SelfishStrategy,
+    MixingWeights,
     trim,
+    mixing_weights,
     consensus_combine,
     adversary_message,
 )
@@ -63,7 +65,6 @@ from resilient_marl.engine import (
     StepSizeSchedule,
     TrajectoryLog,
     run,
-    step_size,
     tabular_features,
     projection_features,
 )
@@ -93,12 +94,12 @@ __all__ = [
     "select_action",
     # consensus
     "AgentView", "Inbox", "TrimResult", "ConsensusError", "ConstantStrategy",
-    "DriftStrategy", "NoiseStrategy", "SelfishStrategy", "trim",
-    "consensus_combine", "adversary_message",
+    "DriftStrategy", "NoiseStrategy", "SelfishStrategy", "MixingWeights", "trim",
+    "mixing_weights", "consensus_combine", "adversary_message",
     # engine
     "EarlyStop", "MetricsRow", "NonFiniteParameterError", "SafetyViolationError",
     "Simulation", "SimulationError", "StepSizeSchedule", "TrajectoryLog",
-    "run", "step_size", "tabular_features", "projection_features",
+    "run", "tabular_features", "projection_features",
     # config
     "ConfigError", "ExperimentConfig", "parse_config", "load_config",
     "config_from_dict", "build_simulation", "resolve_graph",

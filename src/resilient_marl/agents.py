@@ -13,6 +13,8 @@ Row-wise products go through ``np.vecdot``, which matches a per-row
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,8 @@ class LocalFeatures:
         self.n_states = n_states
         self.n_actions = n_actions
         self.dim = n_states * n_actions
+        self.actions = np.arange(n_actions)
+        self.actions.flags.writeable = False
 
     def index(self, s: int, a: int) -> int:
         return s * self.n_actions + a
@@ -38,8 +42,10 @@ class LocalFeatures:
         v[self.index(s, a)] = 1.0
         return v
 
-    def logits(self, theta: np.ndarray, s: int) -> np.ndarray:
-        return theta[..., s * self.n_actions : (s + 1) * self.n_actions]
+    def logits(self, theta: np.ndarray, s) -> np.ndarray:
+        """Logits at state s; an array of states gives one row per state."""
+        table = theta.reshape(theta.shape[:-1] + (self.n_states, self.n_actions))
+        return np.take(table, s, axis=-2)
 
 
 class TabularJointFeatures:
@@ -64,8 +70,15 @@ class TabularJointFeatures:
         if np.ndim(idx) == 0:
             return omega[..., idx]
         # row r of idx reads row r of omega
-        rows = np.arange(idx.size // idx.shape[-1]).reshape(idx.shape[:-1] + (1,))
-        return omega.reshape(-1, self.dim)[rows, idx]
+        return omega.reshape(-1, self.dim)[_row_numbers(idx.shape), idx]
+
+
+@functools.lru_cache(maxsize=None)
+def _row_numbers(shape: tuple[int, ...]) -> np.ndarray:
+    """Read-only row number of every entry of an index array, one column per row."""
+    rows = np.arange(math.prod(shape[:-1])).reshape(shape[:-1] + (1,))
+    rows.flags.writeable = False
+    return rows
 
 
 class ProjectionJointFeatures:
@@ -118,17 +131,20 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     # ufunc calls rather than the z.max / np.clip / e.sum wrappers: same
     # values, a fraction of the per-call cost on these tiny arrays
     z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
-    z = np.minimum(np.maximum(z, -_LOGIT_CLIP), _LOGIT_CLIP)
+    # after max-subtraction z <= 0 (or NaN), so only the lower clip can bind
+    z = np.maximum(z, -_LOGIT_CLIP)
     e = np.exp(z)
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def policy_probs(actor: ActorParams, s: int) -> np.ndarray:
+def policy_probs(actor: ActorParams, s) -> np.ndarray:
     """Action distribution at state s: softmax of the local logits.
 
     Max-subtraction plus clipping keeps the exponentials bounded without
     breaking shift invariance; probabilities are strictly positive for any
-    finite weights. A stack of actors gives one distribution per row.
+    finite weights. A stack of actors gives one distribution per row; an
+    array of states adds an axis before the actions, one distribution per
+    state, each bitwise what that state alone gives.
     """
     return _softmax(actor.features.logits(actor.theta, s))
 
@@ -146,7 +162,7 @@ def score(actor: ActorParams, s: int, a, probs: np.ndarray | None = None) -> np.
         probs = policy_probs(actor, s)
     n_acts = actor.features.n_actions
     psi = np.zeros(actor.theta.shape)
-    chosen = np.arange(n_acts) == np.asarray(a)[..., None]
+    chosen = actor.features.actions == np.asarray(a)[..., None]
     psi[..., s * n_acts : (s + 1) * n_acts] = chosen - probs
     return psi
 
@@ -195,9 +211,9 @@ def advantage(
     action count passes (m, dim) critics, their actors and an id array.
     """
     radix = joint_action_radix(action_counts)[agent_index]
-    own = joint_action // radix % np.asarray(action_counts)[agent_index]
-    n_own = actor.features.n_actions
-    subs = joint_action + (np.arange(n_own) - own[..., None]) * radix[..., None]
+    own_actions = actor.features.actions
+    own = joint_action // radix % own_actions.size
+    subs = joint_action + (own_actions - own[..., None]) * radix[..., None]
     qs = features.q(omega, s, subs)
     if probs is None:
         probs = policy_probs(actor, s)
@@ -225,14 +241,17 @@ def avg_reward_update(mu, beta: float, r):
     return (1.0 - beta) * mu + beta * r
 
 
-def select_action(actor: ActorParams, s: int, u):
+def select_action(actor: ActorParams, s: int, u, probs: np.ndarray | None = None):
     """Sample a local action from the softmax policy by inverse CDF.
 
     ``u`` is one uniform draw in [0, 1) per actor: a float for one actor,
     an (m,) array for a stack. The action is the number of cumulative
     probabilities at or below the draw, capped at the last action.
+    ``probs`` may pass in ``policy_probs(actor, s)`` when the caller
+    already has it.
     """
-    probs = policy_probs(actor, s)
+    if probs is None:
+        probs = policy_probs(actor, s)
     below = np.add.accumulate(probs, axis=-1) <= np.asarray(u)[..., None]
     a = np.minimum(np.add.reduce(below, axis=-1), probs.shape[-1] - 1)
     return int(a) if a.ndim == 0 else a

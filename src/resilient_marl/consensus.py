@@ -8,10 +8,13 @@ coordinate inside the convex hull of {own value} U {retained values}.
 
 Trim and combine also run on a group of m receivers at once: k senders
 per receiver, values stacked as (m, k, dim). f=0 is not a special path:
-it is the all-retained mask.
+it is the all-retained mask. The mixing weights are built apart from the
+mix, so a caller whose mask cannot change (f=0, or k <= 2f) builds them
+once.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,25 +61,48 @@ class TrimResult:
         """
         k = self.mask.shape[-2]
         m = math.prod(self.mask.shape[:-2])
-        if self.f == 0:  # every message survives
-            return [()] * m
-        dropped = ~self.mask.any(axis=-1).reshape(m, k)
-        senders = np.reshape(self.senders, (m, k))
         out = [()] * m
-        for r in np.flatnonzero(dropped.any(axis=1)):
-            out[r] = tuple(senders[r][dropped[r]].tolist())
+        if self.f == 0:  # every message survives
+            return out
+        rows, cols = np.nonzero(~self.mask.any(axis=-1).reshape(m, k))
+        dropped = {}
+        for r, j in zip(rows.tolist(), np.reshape(self.senders, (m, k))[rows, cols].tolist()):
+            dropped.setdefault(r, []).append(j)
+        for r, senders in dropped.items():
+            out[r] = tuple(senders)
         return out
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_mask(shape: tuple[int, ...], kept: bool) -> np.ndarray:
+    """Read-only mask that keeps every value, or none."""
+    mask = np.full(shape, kept)
+    mask.flags.writeable = False
+    return mask
+
+
+@functools.lru_cache(maxsize=None)
+def _lower_id(k: int) -> np.ndarray:
+    """(k, k, 1) read-only: is sender l (axis 0) listed before sender j (axis 1)?"""
+    lower = (np.arange(k)[:, None] < np.arange(k))[..., None]
+    lower.flags.writeable = False
+    return lower
 
 
 def trim(own: np.ndarray, msgs: Inbox, f: int) -> TrimResult:
     """Coordinate-wise removal of the f highest and f lowest received values.
 
-    A message survives at coordinate k only if its value there is neither
-    among the f largest nor the f smallest of the received values at k
-    (ties broken by ascending sender id, via a stable sort). With 2f or
-    fewer messages nothing survives and the agent falls back on its own
-    value alone; with f=0 everything survives. ``own`` is (dim,) for one
-    receiver or (m, dim) for a group.
+    At each coordinate a sender's stable rank is the number of senders
+    whose value there is below its own, an equal value counting as below
+    when its sender id is lower. A message survives at a coordinate when
+    its rank lies in [f, k - f), so ties go by ascending sender id. With
+    2f or fewer messages nothing survives and the agent falls back on its
+    own value alone; with f=0 everything survives. ``own`` is (dim,) for
+    one receiver or (m, dim) for a group.
+
+    NaN rule: a NaN compares false with every value, itself included, so
+    it has rank 0 and counts below no one. It is trimmed as a minimum
+    whenever f > 0, and the other senders rank as if it were not there.
     """
     if f < 0:
         raise ValueError("trim parameter must be nonnegative")
@@ -84,47 +110,85 @@ def trim(own: np.ndarray, msgs: Inbox, f: int) -> TrimResult:
     if values.shape[-1] != np.shape(own)[-1]:
         raise ValueError("payload length does not match own parameter length")
     k = values.shape[-2]
-    mask = np.full(values.shape, f == 0)
-    if 2 * f < k and f > 0:
-        # the senders at sorted positions f .. k-f-1 survive
-        order = np.argsort(values, axis=-2, kind="stable")
-        where = list(np.indices(values.shape[:-2] + (k - 2 * f, values.shape[-1]), sparse=True))
-        where[-2] = order[..., f : k - f, :]
-        mask[tuple(where)] = True
+    if f == 0 or k <= 2 * f:
+        mask = _fixed_mask(values.shape, f == 0)
+    else:
+        v_l, v_j = values[..., :, None, :], values[..., None, :, :]
+        below = (v_l < v_j) | ((v_l == v_j) & _lower_id(k))
+        rank = np.add.reduce(below, axis=-3, dtype=np.min_scalar_type(k))
+        mask = (f <= rank) & (rank < k - f)
     return TrimResult(msgs.senders, values, mask, f)
 
 
-def consensus_combine(
-    own: np.ndarray, trimmed: TrimResult, pair_weights: np.ndarray
-) -> np.ndarray:
-    """Convex combination of the own value with the surviving neighbor values.
+def _sum_senders(x: np.ndarray) -> np.ndarray:
+    """Sum over the sender axis (-2), adding in ascending sender id.
+
+    np.add.reduce does so while the sender axis is not the inner loop. Over
+    a (..., k, 1) stack it would go pairwise once k >= 8, so that shape
+    takes one add per sender.
+    """
+    k = x.shape[-2]
+    if x.shape[-1] > 1 or k == 0:
+        return np.add.reduce(x, axis=-2)
+    total = x[..., 0, :]
+    for j in range(1, k):
+        total = total + x[..., j, :]
+    return total
+
+
+@dataclass(frozen=True)
+class MixingWeights:
+    """Per-coordinate mixing weights of a group of receivers.
+
+    ``neighbor[..., j, :]`` weighs sender j and ``own`` the receiver's own
+    value. The last axis is dim, or 1 when the weights are the same at
+    every coordinate.
+    """
+
+    neighbor: np.ndarray
+    own: np.ndarray
+
+
+def mixing_weights(pair_weights: np.ndarray, mask: np.ndarray) -> MixingWeights:
+    """Metropolis weights of the senders that survive ``mask``, plus the self weight.
 
     ``pair_weights[..., j]`` is the Metropolis weight for sender j
-    (full-graph degrees), shaped like ``trimmed.senders``. Per coordinate,
-    the self-weight absorbs the mass of whatever was trimmed there, so each
-    output coordinate is a proper convex combination of {own} U {survivors
-    at that coordinate}. Senders are summed in ascending id order.
+    (full-graph degrees) and ``mask`` is a trim mask, shaped (..., k, dim)
+    or (..., k, 1). Per coordinate, the self weight absorbs the mass of
+    whatever was trimmed there. The neighbour weights are summed in
+    ascending sender id whatever the shape.
     """
-    own = np.asarray(own, dtype=np.float64)
     pair_weights = np.asarray(pair_weights, dtype=np.float64)
-    if pair_weights.shape != np.shape(trimmed.senders):
+    if pair_weights.shape != mask.shape[:-1]:
         raise ConsensusError("need exactly one pairwise weight per message")
     if (pair_weights < 0).any():
         raise ConsensusError("pairwise weights must be nonnegative")
-    weighted_mask = pair_weights[..., None] * trimmed.mask
-    neighbor_weight = weighted_mask.sum(axis=-2)
-    if (neighbor_weight > 1.0 + 1e-9).any():
+    neighbor = pair_weights[..., None] * mask.astype(np.float64)
+    total = _sum_senders(neighbor)
+    if (total > 1.0 + 1e-9).any():
         raise ConsensusError(
             "pairwise weights of the survivors exceed 1; rows would not be stochastic"
         )
-    self_weight = 1.0 - neighbor_weight
+    return MixingWeights(neighbor, 1.0 - total)
+
+
+def consensus_combine(own: np.ndarray, trimmed: TrimResult, weights: MixingWeights) -> np.ndarray:
+    """Convex combination of the own value with the surviving neighbor values.
+
+    ``weights`` is ``mixing_weights(pair_weights, trimmed.mask)``, or the
+    same built once where the mask cannot change. Each output coordinate
+    is then a proper convex combination of {own} U {survivors at that
+    coordinate}. Senders are summed in ascending id order.
+    """
+    own = np.asarray(own, dtype=np.float64)
     values = trimmed.values
-    if not np.isfinite(values).all():
+    # with f=0 nothing is trimmed, so there is no ±inf to zero
+    if trimmed.f > 0 and not np.isfinite(values).all():
         # a trimmed ±inf must add nothing, not 0 * inf = NaN, while a NaN
         # stays NaN so the run stops; the check costs far less per call
         # than this np.where
         values = np.where(trimmed.mask | np.isnan(values), values, 0.0)
-    return self_weight * own + (weighted_mask * values).sum(axis=-2)
+    return weights.own * own + _sum_senders(weights.neighbor * values)
 
 
 # -- adversary strategies ---------------------------------------------

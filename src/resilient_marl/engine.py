@@ -15,12 +15,23 @@ adversary payloads once per adversary, in ascending id):
 - actors: one ``ActorParams`` stack of shape (m, S * c) per distinct
   action count c, holding the m agents with that count in ascending id
   order (not padded to a common count, which would change the softmax
-  sums' bits);
+  sums' bits). Selection at s_next and the actor step at s both read
+  theta as it was before this round's actor step, so each block takes
+  one softmax a round, over its logits at [s_next, s];
 - consensus: per graph phase, the regular agents with neighbours grouped
   by degree k, each group with an (m, k) neighbour-index matrix in
   ascending sender id, its Metropolis pair weights and a regular-sender
   mask. A round gathers the group's payloads as (m, k, dim), trims them
   (f=0 is the all-retained mask), combines, and checks the hull.
+
+Built once per run, not per round: each group's receivers, senders and
+pair weights, and the mixing weights of every group whose trim mask
+cannot depend on the payloads (f=0 keeps all, k <= 2f trims all), stored
+as (m, k, 1) and (m, 1) so they do not grow with dim. Every other group
+builds its weights each round with the same ``mixing_weights``. The op
+layer keeps its per-round constants read-only and builds them once: the
+joint-action radix table, each block's action range, the row numbers of
+the tabular Q gathers and the keep-all and keep-none trim masks.
 
 Determinism contract: a run draws from ``numpy.random.default_rng(seed)``
 only. Before round 0 it takes one ``random(n)`` vector for the initial
@@ -29,8 +40,9 @@ transition, one ``random(n)`` vector for action selection (entry i goes
 to agent i whatever its block), and, with reward noise on, one extra
 vector right after the transition. A ``random(n)`` vector is bitwise the
 same as n scalar draws, so this equals one draw per agent in ascending
-id. Sums over senders run in ascending sender id, and row-wise products
-use ``np.vecdot``, so every agent's values are bitwise those of a
+id. Sums over senders, the mixing weights' included, run in ascending
+sender id whatever the array shape, and row-wise products use
+``np.vecdot``, so every agent's values are bitwise those of a
 one-agent-at-a-time loop (pinned by ``tests/reference_algorithm.py``).
 """
 from __future__ import annotations
@@ -56,7 +68,15 @@ from resilient_marl.agents import (
     select_action,
     td_error,
 )
-from resilient_marl.consensus import AgentView, Inbox, adversary_message, consensus_combine, trim
+from resilient_marl.consensus import (
+    AgentView,
+    Inbox,
+    MixingWeights,
+    adversary_message,
+    consensus_combine,
+    mixing_weights,
+    trim,
+)
 from resilient_marl.graphs import GraphSchedule, is_r_local, metropolis_pair_weight
 from resilient_marl.mdp import (
     JointPolicy,
@@ -121,11 +141,6 @@ class StepSizeSchedule:
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "scale": self.scale, "exponent": self.exponent}
-
-
-def step_size(schedule: StepSizeSchedule, t: int) -> float:
-    """Step size at round t under the given schedule."""
-    return schedule.at(t)
 
 
 @dataclass(frozen=True)
@@ -341,17 +356,21 @@ class _ReceiverGroup:
 
     ``nbr`` (m, k) lists each receiver's senders in ascending id,
     ``pair_w`` their Metropolis weights and ``regular`` which are regular.
+    ``weights`` holds the mixing weights when the trim mask cannot depend
+    on the payloads (f=0 keeps all, k <= 2f trims all), else None.
     """
 
     ids: np.ndarray
     nbr: np.ndarray
     pair_w: np.ndarray
     regular: np.ndarray
+    weights: MixingWeights | None
 
 
 def _receiver_groups(g: GraphSchedule) -> list[list[_ReceiverGroup]]:
     """Per phase, the regular agents with neighbours, grouped by degree."""
     regular = [i for i in range(g.n_nodes) if i not in g.adversary_set]
+    f = g.trim_f
     phases = []
     for p in range(g.n_phases):
         deg = g.degrees(p)
@@ -361,18 +380,24 @@ def _receiver_groups(g: GraphSchedule) -> list[list[_ReceiverGroup]]:
             nbr = np.array([g.neighbors(int(i), p) for i in ids])
             pair_w = np.array([[metropolis_pair_weight(k, int(deg[j])) for j in row] for row in nbr])
             is_regular = ~np.isin(nbr, list(g.adversary_set))
-            groups.append(_ReceiverGroup(ids, nbr, pair_w, is_regular))
+            weights = None
+            if f == 0 or k <= 2 * f:
+                weights = mixing_weights(pair_w, np.full(pair_w.shape + (1,), f == 0))
+            groups.append(_ReceiverGroup(ids, nbr, pair_w, is_regular, weights))
         phases.append(groups)
     return phases
 
 
 def _escapes_hull(own, values, keep, combined) -> np.ndarray:
-    """Per receiver: does ``combined`` leave [min, max] of own and the kept values?"""
+    """Per receiver: does ``combined`` leave [min, max] of own and the kept values?
+
+    ``keep`` None means every value was kept.
+    """
     # a value not kept is replaced by own, which the hull holds anyway
-    held = np.where(keep, values, own[..., None, :])
-    lo = np.minimum(held.min(axis=-2), own)
-    hi = np.maximum(held.max(axis=-2), own)
-    return ((combined < lo - _HULL_TOL) | (combined > hi + _HULL_TOL)).any(axis=-1)
+    held = values if keep is None else np.where(keep, values, own[..., None, :])
+    lo = np.minimum(np.minimum.reduce(held, axis=-2), own)
+    hi = np.maximum(np.maximum.reduce(held, axis=-2), own)
+    return np.logical_or.reduce((combined < lo - _HULL_TOL) | (combined > hi + _HULL_TOL), axis=-1)
 
 
 def _select_actions(state: NetworkState, s: int, u: np.ndarray) -> np.ndarray:
@@ -381,6 +406,22 @@ def _select_actions(state: NetworkState, s: int, u: np.ndarray) -> np.ndarray:
     for ids, actors in state.blocks:
         actions[ids] = select_action(actors, s, u[ids])
     return actions
+
+
+def _first_non_finite(state: NetworkState) -> int | None:
+    """Lowest agent id with a non-finite critic or actor weight, or None.
+
+    One check per array; the agent is located only when a check fails.
+    """
+    all_finite = np.isfinite(state.omega).all()
+    for _, actors in state.blocks:
+        all_finite = all_finite and np.isfinite(actors.theta).all()
+    if all_finite:
+        return None
+    finite = np.isfinite(state.omega).all(axis=1)
+    for ids, actors in state.blocks:
+        finite[ids] &= np.isfinite(actors.theta).all(axis=1)
+    return int(np.argmin(finite))
 
 
 def run(sim: Simulation, config_doc: dict | None = None) -> TrajectoryLog:
@@ -450,22 +491,27 @@ def run(sim: Simulation, config_doc: dict | None = None) -> TrajectoryLog:
         mus_prev = state.mus
         state.mus = avg_reward_update(mus_prev, beta_w, r)
 
-        a_next_locals = _select_actions(state, s_next, rng.random(n))
-        a_next = encode_joint_action(a_next_locals.tolist(), counts)
-
-        # local critic and actor updates (every agent, adversaries included)
+        # action selection at s_next and the actor updates at s (every
+        # agent, adversaries included) both read theta before this round's
+        # actor step, so one softmax per block serves both
+        u = rng.random(n)
+        a_next_locals = np.empty(n, dtype=np.int64)
         omega = state.omega
-        delta = td_error(r, mus_prev, q_value(omega, feats, s_next, a_next), q_value(omega, feats, s, a))
-        staged = critic_local_step(omega, beta_w, delta, feats.vector(s, a))
         max_actor_move = 0.0
         for ids, actors in state.blocks:
-            probs = policy_probs(actors, s)
-            adv = advantage(omega[ids], actors, feats, counts, ids, s, a, probs)
-            psi = score(actors, s, a_locals[ids], probs)
+            probs = policy_probs(actors, [s_next, s])
+            a_next_locals[ids] = select_action(actors, s_next, u[ids], probs=probs[:, 0])
+            adv = advantage(omega[ids], actors, feats, counts, ids, s, a, probs[:, 1])
+            psi = score(actors, s, a_locals[ids], probs[:, 1])
             new_theta = actor_step(actors.theta, beta_t, adv, psi)
             if sim.early_stop is not None:
                 max_actor_move = max(max_actor_move, float(np.abs(new_theta - actors.theta).max()))
             actors.theta = new_theta
+        a_next = encode_joint_action(a_next_locals.tolist(), counts)
+
+        # local critic updates
+        delta = td_error(r, mus_prev, q_value(omega, feats, s_next, a_next), q_value(omega, feats, s, a))
+        staged = critic_local_step(omega, beta_w, delta, feats.vector(s, a))
 
         # message exchange over the round-t edges
         payloads = staged
@@ -483,8 +529,11 @@ def run(sim: Simulation, config_doc: dict | None = None) -> TrajectoryLog:
             own = staged[grp.ids]
             values = payloads[grp.nbr]
             trimmed = trim(own, Inbox(grp.nbr, values), f)
-            combined = consensus_combine(own, trimmed, grp.pair_w)
-            escaped = _escapes_hull(own, values, trimmed.mask, combined)
+            weights = grp.weights
+            if weights is None:
+                weights = mixing_weights(grp.pair_w, trimmed.mask)
+            combined = consensus_combine(own, trimmed, weights)
+            escaped = _escapes_hull(own, values, None if f == 0 else trimmed.mask, combined)
             violations += [(int(i), 0) for i in grp.ids[escaped]]
             if sim.check_regular_hull:
                 strayed = _escapes_hull(own, values, grp.regular[..., None], combined)
@@ -504,17 +553,13 @@ def run(sim: Simulation, config_doc: dict | None = None) -> TrajectoryLog:
             log.add_trim_event(t, agent, senders)
         state.omega = new_omega
 
-        finite = np.isfinite(new_omega).all(axis=1)
-        for ids, actors in state.blocks:
-            finite[ids] &= np.isfinite(actors.theta).all(axis=1)
-        if not finite.all():
-            raise NonFiniteParameterError(
-                f"round {t}: agent {int(np.argmin(finite))} has non-finite parameters"
-            )
+        agent = _first_non_finite(state)
+        if agent is not None:
+            raise NonFiniteParameterError(f"round {t}: agent {agent} has non-finite parameters")
         if not np.isfinite(state.mus).all():
             raise NonFiniteParameterError(f"round {t}: non-finite running reward")
 
-        window.append(float(r.mean()))
+        window.append(float(np.add.reduce(r)) / n)  # bitwise np.mean
         s, a, a_locals = s_next, a_next, a_next_locals
         executed = t + 1
 

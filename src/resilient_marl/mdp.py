@@ -30,8 +30,18 @@ def encode_joint_action(local_actions, action_counts) -> int:
 
 
 def joint_action_radix(action_counts) -> np.ndarray:
-    """Place value of each agent's slot in a joint index: the product of the later counts."""
-    return np.array([math.prod(action_counts[i + 1 :]) for i in range(len(action_counts))])
+    """Place value of each agent's slot in a joint index: the product of the later counts.
+
+    Built once per tuple of counts; the array is shared, so it is read-only.
+    """
+    return _radix(tuple(action_counts))
+
+
+@functools.lru_cache(maxsize=None)
+def _radix(action_counts: tuple[int, ...]) -> np.ndarray:
+    radix = np.array([math.prod(action_counts[i + 1 :]) for i in range(len(action_counts))])
+    radix.flags.writeable = False
+    return radix
 
 
 def decode_joint_action(joint_action: int, action_counts) -> list[int]:

@@ -11,7 +11,8 @@ time. Covered features:
 - a static graph or a periodic schedule (round t uses phase t mod P);
 - coordinate-wise trimming of the f highest and f lowest received values,
   ties broken by ascending sender id, the self-weight absorbing the mass of
-  whatever was trimmed;
+  whatever was trimmed (:func:`stable_rank_keep`, which also states the
+  NaN rule);
 - constant and drift adversaries, which run their own local updates, keep
   their staged critic and broadcast a fabricated payload;
 - additive uniform reward noise.
@@ -22,6 +23,32 @@ the transition, one noise vector when reward noise is on, and one draw per
 agent for action selection.
 """
 import numpy as np
+
+
+def stable_rank_keep(received, f):
+    """Per sender, the coordinates where its value survives trimming.
+
+    A sender's stable rank at a coordinate counts the senders whose value
+    there is strictly below its own, plus the senders with an equal value
+    and a lower position in ``received`` (ascending sender id). The value
+    survives when f <= rank < k - f; with k <= 2f nothing survives.
+
+    NaN rule: a NaN compares false with everything, itself included, so a
+    NaN has rank 0 and counts below no one; the other senders rank as if
+    it were not there.
+    """
+    k = len(received)
+    dim = len(received[0]) if k else 0
+    keep = [np.zeros(dim, dtype=bool) for _ in range(k)]
+    if k > 2 * f:
+        for j in range(k):
+            rank = np.zeros(dim, dtype=np.int64)
+            for l in range(k):
+                rank += received[l] < received[j]
+                if l < j:
+                    rank += received[l] == received[j]
+            keep[j] = (rank >= f) & (rank < k - f)
+    return keep
 
 
 def run_reference(
@@ -136,17 +163,7 @@ def run_reference(
 
         Also returns, per sender, whether any of its coordinates survived.
         """
-        k = len(received)
-        keep = [np.zeros(dim, dtype=bool) for _ in range(k)]
-        if k > 2 * f:
-            for j in range(k):
-                # stable rank: senders strictly below, plus equal senders with a lower id
-                rank = np.zeros(dim, dtype=np.int64)
-                for l in range(k):
-                    rank += received[l] < received[j]
-                    if l < j:
-                        rank += received[l] == received[j]
-                keep[j] = (rank >= f) & (rank < k - f)
+        keep = stable_rank_keep(received, f)
         acc = np.zeros(dim)
         wacc = np.zeros(dim)
         for v, w, kept in zip(received, weights, keep):

@@ -80,6 +80,20 @@ class TestPolicyProbs:
             assert np.array_equal(table[s], policy_probs(actor, s))
 
 
+    @pytest.mark.parametrize("n_actions", [2, 3, 9])
+    def test_array_of_states_matches_per_state(self, n_actions):
+        """One softmax over several states is bitwise one call per state, alone or stacked."""
+        rng = np.random.default_rng(5)
+        feats = LocalFeatures(4, n_actions)
+        states = [2, 0, 3, 2]
+        for theta in (rng.standard_normal(feats.dim) * 40, rng.standard_normal((3, feats.dim)) * 40):
+            actor = ActorParams(theta, feats)
+            probs = policy_probs(actor, states)
+            assert probs.shape == theta.shape[:-1] + (len(states), n_actions)
+            for i, s in enumerate(states):
+                assert np.array_equal(probs[..., i, :], policy_probs(actor, s))
+
+
 class TestScore:
     def test_uniform_two_action_closed_form(self):
         actor = ActorParams.zeros(1, 2)
@@ -269,3 +283,18 @@ class TestSelectAction:
         seq_a = [select_action(actor, 0, np.random.default_rng(7).random()) for _ in range(1)]
         seq_b = [select_action(actor, 0, np.random.default_rng(7).random()) for _ in range(1)]
         assert seq_a == seq_b
+
+    def test_given_probs_match_computed(self):
+        """Passing policy_probs(actor, s) in changes nothing, alone or stacked."""
+        rng = np.random.default_rng(8)
+        feats = LocalFeatures(3, 4)
+        for theta in (rng.standard_normal(feats.dim) * 3, rng.standard_normal((5, feats.dim)) * 3):
+            actor = ActorParams(theta, feats)
+            for s in range(3):
+                u = rng.random(theta.shape[:-1]) if theta.ndim > 1 else rng.random()
+                expected = select_action(actor, s, u)
+                got = select_action(actor, s, u, probs=policy_probs(actor, s))
+                assert np.array_equal(got, expected)
+                # a row of a several-state softmax, as a strided view
+                got = select_action(actor, s, u, probs=policy_probs(actor, [1, s])[..., 1, :])
+                assert np.array_equal(got, expected)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resilient_marl.consensus import (
     AgentView,
@@ -11,6 +15,7 @@ from resilient_marl.consensus import (
     SelfishStrategy,
     adversary_message,
     consensus_combine,
+    mixing_weights,
     trim,
 )
 from resilient_marl.graphs import (
@@ -19,6 +24,8 @@ from resilient_marl.graphs import (
     metropolis_pair_weight,
     metropolis_weights,
 )
+
+from reference_algorithm import stable_rank_keep
 
 
 def inbox(pairs):
@@ -30,6 +37,11 @@ def inbox(pairs):
 
 def msgs_from(payloads):
     return inbox(enumerate(payloads))
+
+
+def combine(own, trimmed, pair_weights):
+    """One mix with the weights built from the trim mask."""
+    return consensus_combine(own, trimmed, mixing_weights(pair_weights, trimmed.mask))
 
 
 def hull_bounds(own, trimmed):
@@ -82,37 +94,72 @@ class TestTrim:
         with pytest.raises(ValueError, match="length"):
             trim(np.zeros(2), msgs_from([1.0]), f=0)
 
+    def test_nan_mask_is_the_reference_rank_count(self):
+        """A NaN ranks 0 and counts below no one, in trim as in the reference."""
+        payloads = [(0.5, math.nan, 2.0), (math.nan, 1.0, 2.0), (-1.0, 3.0, math.nan),
+                    (0.5, 0.0, 2.0), (2.0, math.nan, -4.0)]
+        for f in (1, 2):
+            msgs = msgs_from(payloads)
+            tr = trim(np.zeros(3), msgs, f)
+            assert tr.mask.tolist() == [kept.tolist() for kept in stable_rank_keep(msgs.values, f)]
+        # a NaN is trimmed as a minimum, whatever its sender id
+        tr = trim(np.zeros(1), msgs_from([3.0, math.nan, 1.0, 2.0]), f=1)
+        assert tr.mask[:, 0].tolist() == [True, False, False, True]
+
+
+def argsort_trim_mask(values, f):
+    """Oracle: the senders at stable-sorted positions f .. k-f-1 survive, per coordinate."""
+    k = values.shape[-2]
+    mask = np.zeros(values.shape, dtype=bool)
+    if k > 2 * f:
+        order = np.argsort(values, axis=-2, kind="stable")
+        np.put_along_axis(mask, order[..., f : k - f, :], True, axis=-2)
+    return mask
+
+
+class TestTrimOracle:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.integers(1, 4), st.integers(1, 9), st.integers(0, 4), st.integers(1, 6), st.data())
+    def test_mask_equals_stable_argsort(self, m, k, f, dim, data):
+        """Rank count and stable sort agree on finite values, ties included."""
+        flat = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                                  min_size=m * k * dim, max_size=m * k * dim))
+        values = np.array(flat).reshape(m, k, dim)
+        senders = np.tile(np.arange(k), (m, 1))
+        tr = trim(np.zeros((m, dim)), Inbox(senders, values), f)
+        assert np.array_equal(tr.mask, argsort_trim_mask(values, f))
+
 
 class TestConsensusCombine:
     def test_consensus_fixed_point(self):
         v = np.array([1.25, -3.5])
         tr = trim(v, msgs_from([v, v, v]), f=1)
-        out = consensus_combine(v, tr, np.full(3, 0.25))
+        out = combine(v, tr, np.full(3, 0.25))
         assert np.array_equal(out, v)
 
     def test_two_party_midpoint(self):
         own = np.zeros(1)
         tr = trim(own, msgs_from([1.0]), f=0)
-        out = consensus_combine(own, tr, np.array([0.5]))
+        out = combine(own, tr, np.array([0.5]))
         assert out[0] == 0.5
 
     def test_empty_retained_keeps_own(self):
         own = np.array([4.0, -2.0])
         tr = trim(own, msgs_from([(9.0, 9.0), (-9.0, -9.0)]), f=1)
-        out = consensus_combine(own, tr, np.full(2, 0.3))
+        out = combine(own, tr, np.full(2, 0.3))
         assert np.array_equal(out, own)
 
     def test_rejects_overweight(self):
         own = np.zeros(1)
         tr = trim(own, msgs_from([1.0, 2.0, 3.0]), f=0)
         with pytest.raises(ConsensusError, match="stochastic"):
-            consensus_combine(own, tr, np.array([0.5, 0.4, 0.3]))
+            mixing_weights(np.array([0.5, 0.4, 0.3]), tr.mask)
 
     def test_rejects_negative_weights(self):
         own = np.zeros(1)
         tr = trim(own, msgs_from([1.0]), f=0)
         with pytest.raises(ConsensusError, match="nonnegative"):
-            consensus_combine(own, tr, np.array([-0.1]))
+            mixing_weights(np.array([-0.1]), tr.mask)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_output_in_convex_hull(self, seed):
@@ -125,7 +172,7 @@ class TestConsensusCombine:
         payloads = [rng.uniform(-10, 10, dim) for _ in range(k)]
         tr = trim(own, msgs_from(payloads), f=f)
         weights = rng.uniform(0, 1.0 / max(k, 1), size=k)
-        out = consensus_combine(own, tr, weights)
+        out = combine(own, tr, weights)
         lo, hi = hull_bounds(own, tr)
         assert (out >= lo - 1e-12).all() and (out <= hi + 1e-12).all()
 
@@ -149,7 +196,7 @@ class TestReduction:
             msgs = inbox((j, x[j]) for j in nbrs)
             tr = trim(x[i], msgs, f=0)
             pw = np.array([metropolis_pair_weight(int(deg[i]), int(deg[j])) for j in nbrs])
-            combined = consensus_combine(x[i], tr, pw)
+            combined = combine(x[i], tr, pw)
             plain = np.empty(dim)
             for c in range(dim):
                 acc = 0.0
@@ -187,7 +234,7 @@ class TestFilteringGuarantee:
             msgs = inbox((j, payload[j]) for j in nbrs)
             tr = trim(own, msgs, f=f)
             pw = np.array([metropolis_pair_weight(int(deg[i]), int(deg[j])) for j in nbrs])
-            out = consensus_combine(own, tr, pw)
+            out = combine(own, tr, pw)
             regular_vals = np.stack([own] + [payload[j] for j in nbrs if j not in adversaries])
             lo = regular_vals.min(axis=0) - 1e-12
             hi = regular_vals.max(axis=0) + 1e-12
@@ -206,7 +253,7 @@ def pure_averaging_round(g, values, f):
         msgs = inbox((j, values[j]) for j in nbrs)
         tr = trim(values[i], msgs, f=f)
         pw = np.array([metropolis_pair_weight(int(deg[i]), int(deg[j])) for j in nbrs])
-        new[i] = consensus_combine(values[i], tr, pw)
+        new[i] = combine(values[i], tr, pw)
     return new
 
 

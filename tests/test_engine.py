@@ -14,7 +14,6 @@ from resilient_marl.engine import (
     compute_metrics,
     projection_features,
     run,
-    step_size,
     tabular_features,
 )
 from resilient_marl.graphs import GraphSchedule
@@ -39,7 +38,7 @@ def make_sim(mdp, graph, n_rounds, seed=0, **kw):
 
 class TestStepSizeSchedule:
     def test_polynomial_at_zero(self):
-        assert step_size(StepSizeSchedule.polynomial(1.0, 0.65), 0) == 1.0
+        assert StepSizeSchedule.polynomial(1.0, 0.65).at(0) == 1.0
 
     def test_polynomial_strictly_decreasing(self):
         sched = StepSizeSchedule.polynomial(1.0, 0.65)
@@ -256,13 +255,31 @@ def _reference_case(name):
         matrix = np.stack([sim.features.vector(s, a)
                            for s in range(mdp.n_states) for a in range(mdp.n_joint_actions)])
         return sim, dict(features=matrix, trim_f=1, adversaries={2: ("constant", -3.0)})
+    if name == "complete9_f0":
+        # degree 8: the neighbour weights must still be summed in ascending id
+        mdp = generate_random_mdp(9, 2, 2, (0.0, 4.0), seed=36)
+        return make_sim(mdp, GraphSchedule.complete(9), 40), {}
+    if name == "complete9_projection_dim1":
+        # with dim 1 the (m, k, dim) stacks are (m, k, 1): still summed in sender order
+        mdp = generate_random_mdp(9, 2, 2, (0.0, 4.0), seed=38)
+        sim = make_sim(mdp, GraphSchedule.complete(9), 40,
+                       features=projection_features(mdp, dim=1, seed=5))
+        matrix = np.stack([sim.features.vector(s, a)
+                           for s in range(mdp.n_states) for a in range(mdp.n_joint_actions)])
+        return sim, dict(features=matrix)
+    if name == "complete9_f2_ties":
+        mdp = generate_random_mdp(9, 2, 2, (0.0, 4.0), seed=37)
+        g = GraphSchedule.complete(9, adversary_set={2, 6}, trim_f=2)
+        sim = make_sim(mdp, g, 40, strategies={2: ConstantStrategy(1.5), 6: ConstantStrategy(1.5)})
+        return sim, dict(trim_f=2, adversaries={2: ("constant", 1.5), 6: ("constant", 1.5)})
     raise ValueError(name)
 
 
 class TestEngineMatchesReference:
     @pytest.mark.parametrize("case", [
         "trim_constant", "trim_inf", "trim_neg_inf", "trim_ties_f2", "drift_periodic",
-        "heterogeneous_noise", "projection",
+        "heterogeneous_noise", "projection", "complete9_f0", "complete9_f2_ties",
+        "complete9_projection_dim1",
     ])
     def test_bitwise_equal_snapshots(self, case):
         """Every agent's theta, omega and reward tracker equal the reference's, every
