@@ -32,7 +32,6 @@ from resilient_marl.agents import (
     ProjectionJointFeatures,
     policy_probs,
     score,
-    q_value,
     td_error,
     critic_local_step,
     advantage,
@@ -89,7 +88,7 @@ __all__ = [
     "metropolis_weights", "metropolis_pair_weight", "weight_matrix",
     # agents
     "ActorParams", "LocalFeatures", "TabularJointFeatures",
-    "ProjectionJointFeatures", "policy_probs", "score", "q_value", "td_error",
+    "ProjectionJointFeatures", "policy_probs", "score", "td_error",
     "critic_local_step", "advantage", "actor_step", "avg_reward_update",
     "select_action",
     # consensus

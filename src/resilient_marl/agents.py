@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from resilient_marl.mdp import joint_action_radix
-
 _LOGIT_CLIP = 50.0  # applied after max-subtraction; prevents exp underflow blowups
 
 
@@ -65,7 +63,12 @@ class TabularJointFeatures:
         return v
 
     def q(self, omega: np.ndarray, s: int, a):
-        """Q(s, a): the coordinate of (s, a); see :func:`q_value` for stacks."""
+        """Q(s, a) = features(s, a) dot omega: the coordinate of (s, a).
+
+        ``omega`` may stack m critics as (m, dim). An int ``a`` then gives
+        one value per critic; an int array ``a`` of shape (m, k) gives the
+        k values of each critic's row of joint actions.
+        """
         idx = self.index(s, a)
         if np.ndim(idx) == 0:
             return omega[..., idx]
@@ -100,7 +103,7 @@ class ProjectionJointFeatures:
         return self._rows[self.index(s, a)]
 
     def q(self, omega: np.ndarray, s: int, a):
-        """Q(s, a): feature row dot omega; see :func:`q_value` for stacks."""
+        """Q(s, a) = features(s, a) dot omega, stacked as ``TabularJointFeatures.q``."""
         rows = self._rows[self.index(s, a)]
         return np.vecdot(rows, omega if np.ndim(a) == 0 else omega[..., None, :])
 
@@ -149,32 +152,20 @@ def policy_probs(actor: ActorParams, s) -> np.ndarray:
     return _softmax(actor.features.logits(actor.theta, s))
 
 
-def score(actor: ActorParams, s: int, a, probs: np.ndarray | None = None) -> np.ndarray:
+def score(actor: ActorParams, s: int, a, probs: np.ndarray) -> np.ndarray:
     """Gradient of log pi(s, a) wrt theta for the softmax parameterization.
 
     Equals the chosen action's features minus the probability-weighted
     average of all action features at s: minus the probabilities in state
-    s's block, plus one at the chosen action, zero elsewhere. A stack of
-    actors takes one action per row. ``probs`` may pass in
-    ``policy_probs(actor, s)`` when the caller already has it.
+    s's block, plus one at the chosen action, zero elsewhere. ``probs`` is
+    ``policy_probs(actor, s)``. A stack of actors takes one action and one
+    distribution per row.
     """
-    if probs is None:
-        probs = policy_probs(actor, s)
     n_acts = actor.features.n_actions
     psi = np.zeros(actor.theta.shape)
     chosen = actor.features.actions == np.asarray(a)[..., None]
     psi[..., s * n_acts : (s + 1) * n_acts] = chosen - probs
     return psi
-
-
-def q_value(omega: np.ndarray, features, s: int, a):
-    """Linear action value: features(s, a) dot omega.
-
-    ``omega`` may stack m critics as (m, dim). An int ``a`` then gives one
-    value per critic; an int array ``a`` of shape (m, k) gives the k values
-    of each critic's row of joint actions.
-    """
-    return features.q(omega, s, a)
 
 
 def td_error(r, mu, q_next, q_curr):
@@ -193,32 +184,23 @@ def critic_local_step(omega: np.ndarray, beta: float, delta, grad: np.ndarray) -
 
 
 def advantage(
-    omega: np.ndarray,
-    actor: ActorParams,
-    features,
-    action_counts,
-    agent_index,
-    s: int,
-    joint_action: int,
-    probs: np.ndarray | None = None,
+    omega: np.ndarray, actor: ActorParams, features, radix, s: int, joint_action: int, q_sa, probs
 ):
     """Action value minus the policy-weighted baseline over own actions.
 
-    The other agents' slots of the joint action are held fixed while the
-    agent's own slot b ranges over its action set; in the mixed-radix
-    layout (agent 0 most significant) that joint index is
-    ``a + (b - digit_i(a)) * radix_i``. A stack of m agents that share an
-    action count passes (m, dim) critics, their actors and an id array.
+    ``q_sa`` is Q(s, joint_action) and ``probs`` is ``policy_probs(actor, s)``,
+    both as the round already holds them. The other agents' slots of the
+    joint action are held fixed while the agent's own slot b ranges over
+    its action set; in the mixed-radix layout (agent 0 most significant)
+    that joint index is ``a + (b - digit_i(a)) * radix_i``, with ``radix``
+    the agent's entry of ``joint_action_radix``. A stack of m agents that
+    share an action count passes (m, dim) critics, their actors, their
+    radix entries, and one ``q_sa`` and one distribution per row.
     """
-    radix = joint_action_radix(action_counts)[agent_index]
     own_actions = actor.features.actions
     own = joint_action // radix % own_actions.size
     subs = joint_action + (own_actions - own[..., None]) * radix[..., None]
-    qs = features.q(omega, s, subs)
-    if probs is None:
-        probs = policy_probs(actor, s)
-    # the own-action entry of qs is Q(s, joint_action) itself
-    return features.q(omega, s, joint_action) - np.vecdot(probs, qs)
+    return q_sa - np.vecdot(probs, features.q(omega, s, subs))
 
 
 def actor_step(theta: np.ndarray, beta: float, adv, psi: np.ndarray) -> np.ndarray:
@@ -241,17 +223,15 @@ def avg_reward_update(mu, beta: float, r):
     return (1.0 - beta) * mu + beta * r
 
 
-def select_action(actor: ActorParams, s: int, u, probs: np.ndarray | None = None):
-    """Sample a local action from the softmax policy by inverse CDF.
+def select_action(probs: np.ndarray, u):
+    """Sample a local action from a policy distribution by inverse CDF.
 
-    ``u`` is one uniform draw in [0, 1) per actor: a float for one actor,
-    an (m,) array for a stack. The action is the number of cumulative
-    probabilities at or below the draw, capped at the last action.
-    ``probs`` may pass in ``policy_probs(actor, s)`` when the caller
-    already has it.
+    ``probs`` is the distribution, e.g. ``policy_probs(actor, s)``; ``u``
+    is one uniform draw in [0, 1) per distribution: a float for one, an
+    (m,) array for an (m, n_actions) stack. The action is the number of
+    cumulative probabilities at or below the draw, capped at the last
+    action.
     """
-    if probs is None:
-        probs = policy_probs(actor, s)
     below = np.add.accumulate(probs, axis=-1) <= np.asarray(u)[..., None]
     a = np.minimum(np.add.reduce(below, axis=-1), probs.shape[-1] - 1)
     return int(a) if a.ndim == 0 else a

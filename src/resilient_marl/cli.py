@@ -167,7 +167,8 @@ def run_sweep(sweep_doc: dict, out_root, jobs: int = 1, quiet: bool = False) -> 
     """Run every override of a sweep document, one directory per run.
 
     Each run gets seed = base seed + run index unless its override pins a
-    seed explicitly. Runs execute in parallel up to ``jobs``.
+    seed explicitly. Runs execute in parallel up to ``jobs``, with no more
+    workers than runs.
     """
     if not isinstance(sweep_doc, dict) or "base" not in sweep_doc or "runs" not in sweep_doc:
         raise ConfigError("<sweep>", "sweep document needs 'base' and 'runs'")
@@ -179,7 +180,6 @@ def run_sweep(sweep_doc: dict, out_root, jobs: int = 1, quiet: bool = False) -> 
         raise ConfigError("<sweep>.runs", "expected a nonempty list of runs")
     base_seed = base.get("seed", 0)
     out_root = Path(out_root)
-    jobs = max(1, jobs)
     tasks = []
     for idx, entry in enumerate(runs):
         if not isinstance(entry, dict):
@@ -192,6 +192,8 @@ def run_sweep(sweep_doc: dict, out_root, jobs: int = 1, quiet: bool = False) -> 
         doc.pop("out", None)
         config_from_dict(doc)  # fail fast on any bad override before launching
         tasks.append((doc, out_root / name, quiet))
+    # a fork-started pool starts every worker at the first submit, used or not
+    jobs = min(max(1, jobs), len(tasks))
     if jobs == 1:
         results = [_sweep_worker(task) for task in tasks]
     else:
@@ -259,7 +261,7 @@ def main(argv=None) -> int:
         else:
             cfg = load_config(args.config)
             _print_graph_report(check_graph(cfg))
-    except (ConfigError, GraphError, PlacementError, FileNotFoundError) as exc:
+    except (ConfigError, GraphError, PlacementError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SimulationError, NonErgodicChainError, ValueError) as exc:

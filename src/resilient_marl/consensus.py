@@ -204,7 +204,6 @@ class AgentView:
 
     agent_id: int
     omega_staged: np.ndarray
-    is_regular: bool = False
 
 
 @dataclass(frozen=True)
@@ -259,6 +258,4 @@ STRATEGY_NAMES = {
 
 def adversary_message(strategy, agent, t: int, dim: int) -> np.ndarray:
     """Payload an adversarial agent sends at round t."""
-    if agent is not None and agent.is_regular:
-        raise ValueError("adversary_message called for a regular agent")
     return strategy.message(agent, t, dim)

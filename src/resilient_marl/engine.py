@@ -17,21 +17,24 @@ adversary payloads once per adversary, in ascending id):
   order (not padded to a common count, which would change the softmax
   sums' bits). Selection at s_next and the actor step at s both read
   theta as it was before this round's actor step, so each block takes
-  one softmax a round, over its logits at [s_next, s];
+  one softmax a round, over its logits at [s_next, s]. Q(s, a) is
+  read once a round, for every critic, and serves both the TD error and
+  the advantage;
 - consensus: per graph phase, the regular agents with neighbours grouped
   by degree k, each group with an (m, k) neighbour-index matrix in
   ascending sender id, its Metropolis pair weights and a regular-sender
   mask. A round gathers the group's payloads as (m, k, dim), trims them
   (f=0 is the all-retained mask), combines, and checks the hull.
 
-Built once per run, not per round: each group's receivers, senders and
-pair weights, and the mixing weights of every group whose trim mask
-cannot depend on the payloads (f=0 keeps all, k <= 2f trims all), stored
-as (m, k, 1) and (m, 1) so they do not grow with dim. Every other group
-builds its weights each round with the same ``mixing_weights``. The op
-layer keeps its per-round constants read-only and builds them once: the
-joint-action radix table, each block's action range, the row numbers of
-the tabular Q gathers and the keep-all and keep-none trim masks.
+Built once per run, not per round: each actor block's slice of the
+joint-action radix, each group's receivers, senders and pair weights,
+and the mixing weights of every group whose trim mask cannot depend on
+the payloads (f=0 keeps all, k <= 2f trims all), stored as (m, k, 1) and
+(m, 1) so they do not grow with dim. Every other group builds its
+weights each round with the same ``mixing_weights``. The op layer keeps
+its per-round constants read-only and builds them once: each block's
+action range, the row numbers of the tabular Q gathers and the keep-all
+and keep-none trim masks.
 
 Determinism contract: a run draws from ``numpy.random.default_rng(seed)``
 only. Before round 0 it takes one ``random(n)`` vector for the initial
@@ -63,7 +66,6 @@ from resilient_marl.agents import (
     avg_reward_update,
     critic_local_step,
     policy_probs,
-    q_value,
     score,
     select_action,
     td_error,
@@ -84,6 +86,7 @@ from resilient_marl.mdp import (
     encode_joint_action,
     global_return,
     induced_chain,
+    joint_action_radix,
     sample_transition,
     stationary_distribution,
 )
@@ -404,7 +407,7 @@ def _select_actions(state: NetworkState, s: int, u: np.ndarray) -> np.ndarray:
     """Every agent's local action at s; agent i consumes draw u[i]."""
     actions = np.empty(u.size, dtype=np.int64)
     for ids, actors in state.blocks:
-        actions[ids] = select_action(actors, s, u[ids])
+        actions[ids] = select_action(policy_probs(actors, s), u[ids])
     return actions
 
 
@@ -450,6 +453,7 @@ def run(sim: Simulation, config_doc: dict | None = None) -> TrajectoryLog:
 
     state = NetworkState.zeros(sim)
     counts = mdp.action_counts
+    block_radix = [joint_action_radix(counts)[ids] for ids, _ in state.blocks]
     feats = sim.features
     f = g.trim_f
     dim = feats.dim
@@ -484,10 +488,7 @@ def run(sim: Simulation, config_doc: dict | None = None) -> TrajectoryLog:
 
         # environment transition; the reward pays off the previous (s, a)
         s_next = sample_transition(mdp, s, a, rng)
-        if sim.reward_noise > 0.0:
-            r = mdp.sample_rewards(s, a, rng, sim.reward_noise)
-        else:
-            r = mdp.rewards_at(s, a)
+        r = mdp.sample_rewards(s, a, rng, sim.reward_noise)
         mus_prev = state.mus
         state.mus = avg_reward_update(mus_prev, beta_w, r)
 
@@ -497,11 +498,12 @@ def run(sim: Simulation, config_doc: dict | None = None) -> TrajectoryLog:
         u = rng.random(n)
         a_next_locals = np.empty(n, dtype=np.int64)
         omega = state.omega
+        q_sa = feats.q(omega, s, a)
         max_actor_move = 0.0
-        for ids, actors in state.blocks:
+        for (ids, actors), radix in zip(state.blocks, block_radix):
             probs = policy_probs(actors, [s_next, s])
-            a_next_locals[ids] = select_action(actors, s_next, u[ids], probs=probs[:, 0])
-            adv = advantage(omega[ids], actors, feats, counts, ids, s, a, probs[:, 1])
+            a_next_locals[ids] = select_action(probs[:, 0], u[ids])
+            adv = advantage(omega[ids], actors, feats, radix, s, a, q_sa[ids], probs[:, 1])
             psi = score(actors, s, a_locals[ids], probs[:, 1])
             new_theta = actor_step(actors.theta, beta_t, adv, psi)
             if sim.early_stop is not None:
@@ -510,7 +512,7 @@ def run(sim: Simulation, config_doc: dict | None = None) -> TrajectoryLog:
         a_next = encode_joint_action(a_next_locals.tolist(), counts)
 
         # local critic updates
-        delta = td_error(r, mus_prev, q_value(omega, feats, s_next, a_next), q_value(omega, feats, s, a))
+        delta = td_error(r, mus_prev, feats.q(omega, s_next, a_next), q_sa)
         staged = critic_local_step(omega, beta_w, delta, feats.vector(s, a))
 
         # message exchange over the round-t edges

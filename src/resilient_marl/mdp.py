@@ -109,7 +109,7 @@ class Mdp:
         return self.rewards[:, s, a]
 
     def sample_rewards(self, s: int, a: int, rng: np.random.Generator, noise_scale: float = 0.0) -> np.ndarray:
-        """Reward vector with optional additive uniform noise (off by default)."""
+        """Reward vector with optional additive uniform noise; at scale 0 it draws nothing."""
         r = self.rewards[:, s, a]
         if noise_scale > 0.0:
             r = r + rng.uniform(-noise_scale, noise_scale, size=self.n_agents)

@@ -13,8 +13,9 @@ time. Covered features:
   ties broken by ascending sender id, the self-weight absorbing the mass of
   whatever was trimmed (:func:`stable_rank_keep`, which also states the
   NaN rule);
-- constant and drift adversaries, which run their own local updates, keep
-  their staged critic and broadcast a fabricated payload;
+- constant, drift, noise and selfish adversaries, which run their own
+  local updates, keep their staged critic and broadcast a fabricated
+  payload (a selfish one broadcasts its staged critic);
 - additive uniform reward noise.
 
 Random-draw contract mirrored from the engine docs: one uniform draw per
@@ -76,8 +77,9 @@ def run_reference(
     each completed round, so the list has n_rounds + 1 entries.
 
     ``phases`` (a list of edge lists) replaces ``edges`` when given.
-    ``adversaries`` maps an agent id to ``("constant", value)`` or
-    ``("drift", start, rate)``. ``features`` is the (n_states *
+    ``adversaries`` maps an agent id to ``("constant", value)``,
+    ``("drift", start, rate)``, ``("noise", scale, seed)`` or
+    ``("selfish",)``. ``features`` is the (n_states *
     n_joint, dim) projection matrix; None means a tabular critic. A
     ``trim_events`` list receives ``(t, agent, senders)`` for every regular
     agent that trimmed some senders at every coordinate, in round and agent
@@ -155,8 +157,15 @@ def run_reference(
         kind, *params = adversaries[i]
         if kind == "constant":
             return np.full(dim, float(params[0]))
-        start, rate = params
-        return np.full(dim, float(start)) + rate * t
+        if kind == "drift":
+            start, rate = params
+            return np.full(dim, float(start)) + rate * t
+        if kind == "noise":
+            scale, noise_seed = params
+            return scale * np.random.default_rng([noise_seed, i, t]).standard_normal(dim)
+        if kind == "selfish":
+            return staged_i
+        raise ValueError(f"unknown adversary kind {kind!r}")
 
     def trim_and_mix(own, received, weights, f):
         """Own value mixed with the senders that survive trimming, per coordinate.

@@ -39,6 +39,7 @@ from resilient_marl.mdp import (
     generate_random_mdp,
     global_return,
     induced_chain,
+    joint_action_radix,
 )
 
 from reference_algorithm import run_reference
@@ -131,7 +132,7 @@ class TestCriterion1FormulaFidelity:
             theta = rng.standard_normal(mdp.n_states * n_own) * 1.5
             actor = ActorParams(theta, LocalFeatures(mdp.n_states, n_own))
             a_i = int(rng.integers(n_own))
-            analytic = score(actor, s, a_i)
+            analytic = score(actor, s, a_i, policy_probs(actor, s))
             fd = _oracle_score_fd(theta, n_own, s, a_i)
             worst_score = max(worst_score, float(np.abs(analytic - fd).max() / max(1.0, np.abs(analytic).max())))
 
@@ -146,19 +147,15 @@ class TestCriterion1FormulaFidelity:
                 idx = encode_joint_action(locals_, mdp.action_counts)
                 baseline += probs[b] * float(np.dot(feats.vector(s, idx), omega))
             direct = float(np.dot(feats.vector(s, a), omega)) - baseline
-            got = advantage(omega, actor, feats, mdp.action_counts, i, s, a)
+            radix = joint_action_radix(mdp.action_counts)[i]
+            got = advantage(omega, actor, feats, radix, s, a, feats.q(omega, s, a), probs)
             worst_adv = max(worst_adv, abs(got - direct))
-            centering = sum(
-                probs[b] * advantage(
-                    omega, actor, feats, mdp.action_counts, i, s,
-                    encode_joint_action(
-                        [b if k == i else decode_joint_action(a, mdp.action_counts)[k]
-                         for k in range(mdp.n_agents)],
-                        mdp.action_counts,
-                    ),
-                )
-                for b in range(n_own)
-            )
+            centering = 0.0
+            for b in range(n_own):
+                locals_[i] = b
+                a_b = encode_joint_action(locals_, mdp.action_counts)
+                centering += probs[b] * advantage(omega, actor, feats, radix, s, a_b,
+                                                  feats.q(omega, s, a_b), probs)
             assert abs(centering) < 1e-10
 
             # td error is the literal expression

@@ -13,12 +13,11 @@ from resilient_marl.agents import (
     avg_reward_update,
     critic_local_step,
     policy_probs,
-    q_value,
     score,
     select_action,
     td_error,
 )
-from resilient_marl.mdp import encode_joint_action
+from resilient_marl.mdp import encode_joint_action, joint_action_radix
 
 
 def log_prob(theta, feats, s, a):
@@ -97,7 +96,7 @@ class TestPolicyProbs:
 class TestScore:
     def test_uniform_two_action_closed_form(self):
         actor = ActorParams.zeros(1, 2)
-        psi = score(actor, 0, 0)
+        psi = score(actor, 0, 0, policy_probs(actor, 0))
         assert np.allclose(psi, [0.5, -0.5], atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -107,7 +106,7 @@ class TestScore:
         actor.theta[:] = rng.standard_normal(actor.theta.size) * 2
         for s in range(3):
             probs = policy_probs(actor, s)
-            total = sum(probs[a] * score(actor, s, a) for a in range(4))
+            total = sum(probs[a] * score(actor, s, a, probs) for a in range(4))
             assert np.abs(total).max() < 1e-12
 
     def test_matches_finite_differences(self):
@@ -120,7 +119,7 @@ class TestScore:
             s = int(rng.integers(3))
             a = int(rng.integers(3))
             actor = ActorParams(theta, feats)
-            analytic = score(actor, s, a)
+            analytic = score(actor, s, a, policy_probs(actor, s))
             fd = finite_difference_score(theta, feats, s, a)
             rel = np.abs(analytic - fd).max() / max(1.0, np.abs(analytic).max())
             worst = max(worst, rel)
@@ -130,19 +129,19 @@ class TestScore:
 class TestQValue:
     def test_zero_weights(self):
         feats = TabularJointFeatures(2, 3)
-        assert q_value(np.zeros(feats.dim), feats, 1, 2) == 0.0
+        assert feats.q(np.zeros(feats.dim), 1, 2) == 0.0
 
     def test_tabular_reads_coordinate(self):
         feats = TabularJointFeatures(2, 3)
         omega = np.arange(feats.dim, dtype=float)
-        assert q_value(omega, feats, 1, 2) == omega[feats.index(1, 2)]
+        assert feats.q(omega, 1, 2) == omega[feats.index(1, 2)]
 
     def test_linearity(self):
         feats = ProjectionJointFeatures(3, 4, dim=5, seed=2)
         rng = np.random.default_rng(0)
         omega = rng.standard_normal(5)
-        q1 = q_value(omega, feats, 2, 3)
-        q2 = q_value(2.5 * omega, feats, 2, 3)
+        q1 = feats.q(omega, 2, 3)
+        q2 = feats.q(2.5 * omega, 2, 3)
         assert abs(q2 - 2.5 * q1) < 1e-12
 
     def test_tabular_q_equals_dense_dot(self):
@@ -151,7 +150,7 @@ class TestQValue:
         omega = rng.standard_normal(feats.dim)
         for s in range(2):
             for a in range(4):
-                assert q_value(omega, feats, s, a) == float(np.dot(feats.vector(s, a), omega))
+                assert feats.q(omega, s, a) == float(np.dot(feats.vector(s, a), omega))
 
 
 class TestTdError:
@@ -205,18 +204,24 @@ class TestAdvantage:
         actor.theta[:] = rng.standard_normal(actor.theta.size)
         return counts, feats, omega, actor
 
+    @staticmethod
+    def _advantage(omega, actor, feats, counts, s, a):
+        """Agent 0's advantage, given what a round holds: Q(s, a), its radix and probs."""
+        radix = joint_action_radix(counts)[0]
+        return advantage(omega, actor, feats, radix, s, a, feats.q(omega, s, a), policy_probs(actor, s))
+
     def test_constant_q_gives_zero(self):
         counts, feats, _, actor = self._setup()
         omega = np.full(feats.dim, 3.3)
         a = encode_joint_action([1, 2], counts)
-        assert abs(advantage(omega, actor, feats, counts, 0, 1, a)) < 1e-12
+        assert abs(self._advantage(omega, actor, feats, counts, 1, a)) < 1e-12
 
     def test_near_deterministic_policy(self):
         counts, feats, omega, actor = self._setup(1)
         actor.theta[:] = 0.0
         actor.theta[actor.features.index(0, 1)] = 200.0  # pins action 1 at state 0
         a = encode_joint_action([1, 0], counts)
-        assert abs(advantage(omega, actor, feats, counts, 0, 0, a)) < 1e-12
+        assert abs(self._advantage(omega, actor, feats, counts, 0, a)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(8))
     def test_centering_identity(self, seed):
@@ -228,8 +233,27 @@ class TestAdvantage:
         total = 0.0
         for b in range(counts[0]):
             a = encode_joint_action([b, other], counts)
-            total += probs[b] * advantage(omega, actor, feats, counts, 0, s, a)
+            total += probs[b] * self._advantage(omega, actor, feats, counts, s, a)
         assert abs(total) < 1e-10
+
+    def test_stack_rows_match_single_agents(self):
+        """A block of agents with one action count gives each agent's own advantage bitwise."""
+        rng = np.random.default_rng(9)
+        counts = (3, 2, 3, 3)
+        n_joint = math.prod(counts)
+        ids = np.array([0, 2, 3])
+        feats = ProjectionJointFeatures(2, n_joint, dim=7, seed=4)
+        omega = rng.standard_normal((len(counts), feats.dim))
+        actors = ActorParams(rng.standard_normal((ids.size, 6)), LocalFeatures(2, 3))
+        s, a = 1, int(rng.integers(n_joint))
+        q_sa = feats.q(omega, s, a)
+        probs = policy_probs(actors, s)
+        radix = joint_action_radix(counts)
+        got = advantage(omega[ids], actors, feats, radix[ids], s, a, q_sa[ids], probs)
+        for row, i in enumerate(ids):
+            actor = ActorParams(actors.theta[row], actors.features)
+            alone = advantage(omega[i], actor, feats, radix[i], s, a, q_sa[i], probs[row])
+            assert got[row] == alone
 
 
 class TestActorStep:
@@ -268,33 +292,30 @@ class TestSelectAction:
     def test_near_deterministic(self):
         actor = ActorParams.zeros(1, 2)
         actor.theta[0] = 20.0
+        probs = policy_probs(actor, 0)
         rng = np.random.default_rng(0)
-        hits = sum(select_action(actor, 0, rng.random()) == 0 for _ in range(10_000))
+        hits = sum(select_action(probs, rng.random()) == 0 for _ in range(10_000))
         assert hits / 10_000 > 0.999
 
     def test_uniform_frequencies(self):
-        actor = ActorParams.zeros(1, 2)
+        probs = policy_probs(ActorParams.zeros(1, 2), 0)
         rng = np.random.default_rng(1)
-        hits = sum(select_action(actor, 0, rng.random()) for _ in range(100_000))
+        hits = sum(select_action(probs, rng.random()) for _ in range(100_000))
         assert abs(hits / 100_000 - 0.5) < 0.01
 
     def test_deterministic_in_rng(self):
-        actor = ActorParams.zeros(1, 3)
-        seq_a = [select_action(actor, 0, np.random.default_rng(7).random()) for _ in range(1)]
-        seq_b = [select_action(actor, 0, np.random.default_rng(7).random()) for _ in range(1)]
+        probs = policy_probs(ActorParams.zeros(1, 3), 0)
+        seq_a = [select_action(probs, np.random.default_rng(7).random()) for _ in range(1)]
+        seq_b = [select_action(probs, np.random.default_rng(7).random()) for _ in range(1)]
         assert seq_a == seq_b
 
-    def test_given_probs_match_computed(self):
-        """Passing policy_probs(actor, s) in changes nothing, alone or stacked."""
+    def test_stack_rows_match_single_rows(self):
+        """A stack of distributions, or a strided row of a several-state softmax,
+        selects per row what that row alone selects."""
         rng = np.random.default_rng(8)
-        feats = LocalFeatures(3, 4)
-        for theta in (rng.standard_normal(feats.dim) * 3, rng.standard_normal((5, feats.dim)) * 3):
-            actor = ActorParams(theta, feats)
-            for s in range(3):
-                u = rng.random(theta.shape[:-1]) if theta.ndim > 1 else rng.random()
-                expected = select_action(actor, s, u)
-                got = select_action(actor, s, u, probs=policy_probs(actor, s))
-                assert np.array_equal(got, expected)
-                # a row of a several-state softmax, as a strided view
-                got = select_action(actor, s, u, probs=policy_probs(actor, [1, s])[..., 1, :])
-                assert np.array_equal(got, expected)
+        actors = ActorParams(rng.standard_normal((5, 12)) * 3, LocalFeatures(3, 4))
+        for s in range(3):
+            u = rng.random(5)
+            expected = [select_action(policy_probs(actors, s)[row], u[row]) for row in range(5)]
+            assert select_action(policy_probs(actors, s), u).tolist() == expected
+            assert select_action(policy_probs(actors, [1, s])[:, 1], u).tolist() == expected

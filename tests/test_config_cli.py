@@ -356,6 +356,21 @@ class TestCliMain:
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
         assert not (tmp_path / "root").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "check-graph"])
+    def test_directory_as_config_exit_code(self, tmp_path, capsys, command):
+        argv = [command, "--config", str(tmp_path)]
+        if command != "check-graph":
+            argv += ["--out", str(tmp_path / "o"), "--quiet"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_under_a_file_exit_code(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, rounds=5)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["run", "--config", str(path), "--out", str(blocker / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_check_graph_subcommand(self, tmp_path, capsys):
         path = self.write_config(tmp_path)
         assert main(["check-graph", "--config", str(path)]) == 0
@@ -390,6 +405,34 @@ class TestSweep:
         assert (tmp_path / "sweep" / "run_002" / "summary.json").exists()
         index = json.loads((tmp_path / "sweep" / "sweep_summary.json").read_text())
         assert len(index) == 3
+
+    def test_sweep_starts_no_more_workers_than_runs(self, tmp_path, monkeypatch):
+        """A fork-started pool launches all its workers at the first submit, so
+        ``jobs`` is capped at the number of runs."""
+        import concurrent.futures
+
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        base = yaml.safe_load(MINIMAL)
+        base["rounds"] = 5
+        sweep_doc = {"base": base, "runs": [{"overrides": {}}, {"overrides": {"seed": 5}}]}
+        results = run_sweep(sweep_doc, tmp_path / "s", jobs=64, quiet=True)
+        assert started == [2]
+        assert [r["seed"] for r in results] == [0, 5]
 
     def test_sweep_validates_before_running(self, tmp_path):
         base = yaml.safe_load(MINIMAL)

@@ -310,8 +310,3 @@ class TestAdversaryStrategies:
         agent = self._adversary()
         out = adversary_message(SelfishStrategy(), agent, t=0, dim=2)
         assert np.array_equal(out, agent.omega_staged)
-
-    def test_rejects_regular_agent(self):
-        regular = AgentView(0, np.zeros(2), is_regular=True)
-        with pytest.raises(ValueError, match="regular"):
-            adversary_message(ConstantStrategy(1.0), regular, t=0, dim=2)

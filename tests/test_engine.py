@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from resilient_marl.consensus import ConstantStrategy, DriftStrategy, SelfishStrategy
+from resilient_marl.consensus import ConstantStrategy, DriftStrategy, NoiseStrategy, SelfishStrategy
 from resilient_marl.engine import (
     EarlyStop,
     NonFiniteParameterError,
@@ -213,6 +213,13 @@ class TestOrderOfUpdatesFidelity:
                 assert row.params["avg_reward"][i] == mus[i]
 
 
+def _feature_matrix(sim):
+    """The projection critic's feature rows, one per (state, joint action)."""
+    mdp = sim.mdp
+    return np.stack([sim.features.vector(s, a)
+                     for s in range(mdp.n_states) for a in range(mdp.n_joint_actions)])
+
+
 def _reference_case(name):
     """(simulation, run_reference keyword arguments) for one covered feature."""
     if name == "trim_constant":
@@ -243,6 +250,23 @@ def _reference_case(name):
         g = GraphSchedule.periodic(6, phases, adversary_set={5}, trim_f=1)
         sim = make_sim(mdp, g, 150, strategies={5: DriftStrategy(0.5, 0.02)})
         return sim, dict(phases=phases, trim_f=1, adversaries={5: ("drift", 0.5, 0.02)})
+    if name == "noise_periodic_projection":
+        # phase 0 leaves agents 0 and 3 with k <= 2f, phase 1 ranks three senders
+        phases = [
+            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4), (2, 5)],
+            [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 5)],
+        ]
+        mdp = generate_random_mdp(6, 3, 2, (0.0, 4.0), seed=39)
+        g = GraphSchedule.periodic(6, phases, adversary_set={1}, trim_f=1)
+        sim = make_sim(mdp, g, 120, features=projection_features(mdp, dim=8, seed=3),
+                       strategies={1: NoiseStrategy(2.0, seed=11)})
+        return sim, dict(phases=phases, trim_f=1, features=_feature_matrix(sim),
+                         adversaries={1: ("noise", 2.0, 11)})
+    if name == "selfish_star":
+        mdp = generate_random_mdp(4, 3, [3, 2, 2, 5], (0.0, 4.0), seed=40)
+        g = GraphSchedule.star(4, adversary_set={3}, trim_f=1)
+        sim = make_sim(mdp, g, 120, strategies={3: SelfishStrategy()})
+        return sim, dict(trim_f=1, adversaries={3: ("selfish",)})
     if name == "heterogeneous_noise":
         mdp = generate_random_mdp(4, 3, [3, 2, 9, 2], (0.0, 4.0), seed=33)
         sim = make_sim(mdp, GraphSchedule.ring(4), 150, reward_noise=0.5)
@@ -252,9 +276,7 @@ def _reference_case(name):
         g = GraphSchedule.complete(4, adversary_set={2}, trim_f=1)
         sim = make_sim(mdp, g, 150, features=projection_features(mdp, dim=9, seed=5),
                        strategies={2: ConstantStrategy(-3.0)})
-        matrix = np.stack([sim.features.vector(s, a)
-                           for s in range(mdp.n_states) for a in range(mdp.n_joint_actions)])
-        return sim, dict(features=matrix, trim_f=1, adversaries={2: ("constant", -3.0)})
+        return sim, dict(features=_feature_matrix(sim), trim_f=1, adversaries={2: ("constant", -3.0)})
     if name == "complete9_f0":
         # degree 8: the neighbour weights must still be summed in ascending id
         mdp = generate_random_mdp(9, 2, 2, (0.0, 4.0), seed=36)
@@ -264,9 +286,7 @@ def _reference_case(name):
         mdp = generate_random_mdp(9, 2, 2, (0.0, 4.0), seed=38)
         sim = make_sim(mdp, GraphSchedule.complete(9), 40,
                        features=projection_features(mdp, dim=1, seed=5))
-        matrix = np.stack([sim.features.vector(s, a)
-                           for s in range(mdp.n_states) for a in range(mdp.n_joint_actions)])
-        return sim, dict(features=matrix)
+        return sim, dict(features=_feature_matrix(sim))
     if name == "complete9_f2_ties":
         mdp = generate_random_mdp(9, 2, 2, (0.0, 4.0), seed=37)
         g = GraphSchedule.complete(9, adversary_set={2, 6}, trim_f=2)
@@ -279,7 +299,7 @@ class TestEngineMatchesReference:
     @pytest.mark.parametrize("case", [
         "trim_constant", "trim_inf", "trim_neg_inf", "trim_ties_f2", "drift_periodic",
         "heterogeneous_noise", "projection", "complete9_f0", "complete9_f2_ties",
-        "complete9_projection_dim1",
+        "complete9_projection_dim1", "noise_periodic_projection", "selfish_star",
     ])
     def test_bitwise_equal_snapshots(self, case):
         """Every agent's theta, omega and reward tracker equal the reference's, every

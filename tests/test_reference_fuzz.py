@@ -1,0 +1,112 @@
+"""Whole-algorithm property test: the engine against the straight-line reference.
+
+Hypothesis draws small networks (n <= 5, S <= 4, action counts 2-4), a
+ring, complete, star or two-phase graph, a trim parameter f in {0, 1, 2},
+up to two adversaries with any of the four strategies, reward noise and a
+tabular or projection critic, and runs 10 to 40 rounds. Every round's
+parameters must be bitwise the reference's and the trim events equal.
+"""
+import itertools
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from resilient_marl.consensus import ConstantStrategy, DriftStrategy, NoiseStrategy, SelfishStrategy
+from resilient_marl.engine import Simulation, StepSizeSchedule, projection_features, run, tabular_features
+from resilient_marl.graphs import GraphSchedule
+from resilient_marl.mdp import generate_random_mdp
+
+from reference_algorithm import run_reference
+from test_engine import _feature_matrix
+
+_VALUES = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+@st.composite
+def _adversary(draw, seeds):
+    """(engine strategy, reference payload spec) for one adversary."""
+    kind = draw(st.sampled_from(["constant", "drift", "noise", "selfish"]))
+    if kind == "constant":
+        value = draw(_VALUES)
+        return ConstantStrategy(value), ("constant", value)
+    if kind == "drift":
+        start, rate = draw(_VALUES), draw(st.floats(-0.5, 0.5, allow_nan=False))
+        return DriftStrategy(start, rate), ("drift", start, rate)
+    if kind == "noise":
+        scale, seed = draw(st.floats(0.0, 3.0, allow_nan=False)), draw(seeds)
+        return NoiseStrategy(scale, seed), ("noise", scale, seed)
+    return SelfishStrategy(), ("selfish",)
+
+
+@st.composite
+def _case(draw):
+    """(simulation, run_reference keyword arguments)."""
+    seeds = st.integers(0, 2**16)
+    n = draw(st.sampled_from([2, 3, 4, 5]))
+    n_states = draw(st.integers(2, 4))
+    counts = draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))
+    mdp = generate_random_mdp(n, n_states, counts, (-1.0, 3.0), seed=draw(seeds))
+
+    adversary_ids = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+    adversaries = {i: draw(_adversary(seeds)) for i in adversary_ids}
+    f = draw(st.integers(0, 2))
+    kw = dict(adversary_set=set(adversaries), trim_f=f)
+    topology = draw(st.sampled_from(["ring", "complete", "star", "two_phase"]))
+    if topology == "two_phase":
+        pairs = list(itertools.combinations(range(n), 2))
+        phases = [draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)) for _ in range(2)]
+        graph = GraphSchedule.periodic(n, phases, **kw)
+    else:
+        graph = getattr(GraphSchedule, topology)(n, **kw)
+
+    projection = draw(st.booleans())
+    if projection:
+        features = projection_features(mdp, dim=draw(st.integers(1, 8)), seed=draw(seeds))
+    else:
+        features = tabular_features(mdp)
+    reward_noise = draw(st.sampled_from([0.0, 0.5]))
+    actor_scale = draw(st.floats(0.1, 3.0, allow_nan=False))
+    sim = Simulation(
+        mdp=mdp,
+        graph=graph,
+        features=features,
+        critic_schedule=StepSizeSchedule.polynomial(1.0, 0.65),
+        actor_schedule=StepSizeSchedule.polynomial(actor_scale, 0.85),
+        n_rounds=draw(st.integers(10, 40)),
+        seed=draw(seeds),
+        strategies={i: strategy for i, (strategy, _) in adversaries.items()},
+        log_interval=1,
+        snapshot_params=True,
+        reward_noise=reward_noise,
+        initial_state=draw(st.integers(0, n_states - 1)),
+    )
+    extra = dict(
+        phases=[sorted(p) for p in graph.phases],
+        trim_f=f,
+        adversaries={i: spec for i, (_, spec) in adversaries.items()},
+        reward_noise=reward_noise,
+        actor_scale=actor_scale,
+        initial_state=sim.initial_state,
+    )
+    if projection:
+        extra["features"] = _feature_matrix(sim)
+    return sim, extra
+
+
+@settings(max_examples=250, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_case())
+def test_engine_matches_reference(case):
+    sim, extra = case
+    log = run(sim)
+    events = []
+    history = run_reference(sim.mdp.transition, sim.mdp.rewards, sim.mdp.action_counts, None,
+                            sim.n_rounds, sim.seed, trim_events=events, **extra)
+    assert log.trim_events == events
+    assert len(log.rows) == len(history) == sim.n_rounds + 1
+    for row, (thetas, omegas, mus) in zip(log.rows, history):
+        for i in range(sim.mdp.n_agents):
+            assert np.array_equal(np.array(row.params["theta"][i]), thetas[i]), (row.t, i)
+            assert np.array_equal(np.array(row.params["omega"][i]), omegas[i]), (row.t, i)
+            assert row.params["avg_reward"][i] == mus[i], (row.t, i)
