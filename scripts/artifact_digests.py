@@ -13,11 +13,13 @@ prints its error in place of the digests.
 The set: the three benchmark workloads (``bench/workloads/*.yaml``, read
 only) at seeds 1, 2 and 7; ``demos/configs/cooperative.yaml`` and
 ``defense.yaml``; the three runs of ``demos/configs/f_sweep.yaml``; and
-five small configs that reach what those do not (heterogeneous action
-counts with a selfish adversary, an Erdos-Renyi graph with drift and
-reward noise, f=2 with two constant and with two noise adversaries, an
-early stop, and complete(9) at f=0 and at f=2 with two constant adversaries
-sending the same value, the only configs with a degree of 8 or more).
+small configs that reach what those do not (heterogeneous action counts
+with a selfish adversary, an Erdos-Renyi graph with drift and reward
+noise, f=2 with two constant and with two noise adversaries, an early
+stop, a frozen actor on a constant schedule (the only echo that holds a
+constant schedule), and complete(9) at f=0 and at f=2 with two constant
+adversaries sending the same value, the only configs with a degree of 8
+or more).
 """
 from __future__ import annotations
 
@@ -71,6 +73,8 @@ def _small_configs():
             "ids": [1, 4], "strategy": "noise", "params": {"scale": 5.0, "seed": 2}}),
         "coop_ring_early_stop": dict(copy.deepcopy(coop), rounds=500, log_interval=7, early_stop={
             "disagreement": 1e9, "actor_update": 1e9, "patience": 10}),
+        "coop_ring_constant_actor": dict(copy.deepcopy(coop), rounds=500, actor_step={
+            "kind": "constant", "scale": 0.0}),
         "complete9_f0": {
             "n_agents": 9, "rounds": 200, "seed": 8, "mdp": mdp,
             "graph": {"topology": "complete"}, "log_interval": 10,

@@ -52,6 +52,12 @@ def _resolve_out_dir(cfg: ExperimentConfig, cli_out, config_path) -> Path:
     return root / f"{stem}.seed{cfg.seed}"
 
 
+def _write_json(path, record, sort_keys=False):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> dict:
     """Execute one experiment and write its artifacts under out_dir.
 
@@ -67,8 +73,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> dict:
     log = run(sim, config_doc=config_doc)
     duration = time.time() - started
 
-    log.write_jsonl(out_dir / "trajectory.jsonl")
-
     final = log.rows[-1]
     summary = {
         "final_j_oracle": final.j_oracle,
@@ -79,15 +83,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> dict:
         "config_sha256": log.metadata["config_sha256"],
         "config": config_doc,
     }
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out_dir / "final_params.json", "w", encoding="utf-8") as fh:
-        json.dump(log.final_params, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out_dir / "run_info.json", "w", encoding="utf-8") as fh:
-        json.dump({"started_unix": started, "duration_sec": duration}, fh, indent=2)
-        fh.write("\n")
+    try:
+        log.write_jsonl(out_dir / "trajectory.jsonl")
+        _write_json(out_dir / "summary.json", summary, sort_keys=True)
+        _write_json(out_dir / "final_params.json", log.final_params, sort_keys=True)
+        _write_json(out_dir / "run_info.json", {"started_unix": started, "duration_sec": duration})
+    except OSError as exc:  # the run is done: losing its output is a runtime fault, not a config error
+        raise SimulationError(f"cannot write the artifacts: {exc}") from exc
     if not quiet:
         print(
             f"[resilient-marl] rounds={summary['rounds_executed']} "
@@ -201,10 +203,11 @@ def run_sweep(sweep_doc: dict, out_root, jobs: int = 1, quiet: bool = False) -> 
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_worker, tasks))
-    out_root.mkdir(parents=True, exist_ok=True)
-    with open(out_root / "sweep_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        out_root.mkdir(parents=True, exist_ok=True)
+        _write_json(out_root / "sweep_summary.json", results, sort_keys=True)
+    except OSError as exc:  # every run is done, as in run_experiment
+        raise SimulationError(f"cannot write the sweep summary: {exc}") from exc
     return results
 
 

@@ -7,6 +7,10 @@ attribute carries its type, default, bounds and the ``kind``,
 ``topology`` or ``strategy`` it applies to. One routine parses every
 table and one writes it back, so the echoed document resolves every
 default and fully describes the run. Errors carry the dotted field path.
+
+The format is strict: a field applies only to its kind, topology or
+strategy, and anywhere else it is an unknown field, so every value a
+document gives is one the run reads.
 """
 from __future__ import annotations
 
@@ -137,13 +141,12 @@ _OMIT = object()  # an absent field is left out of the spec and of the echo
 class Field(NamedTuple):
     """How to read one field.
 
-    ``type`` is int, float, bool, str, a tuple of allowed values (an unknown
-    one is reported with ``message``), a Section, or a parse function
-    ``(value, path) -> value``. ``default`` stands in for an absent or
-    null field; ``{}`` gives a section all its defaults. ``minimum``
-    bounds an int, ``reject`` is a ``(test, message)`` pair for a float,
-    which is never NaN and with ``finite`` never ±inf. ``when`` lists the
-    discriminator values the field applies to; empty means all.
+    ``type`` is int, float, bool, str, a tuple of allowed values, a Section,
+    or a parse function ``(value, path) -> value``. ``default`` stands in
+    for an absent or null field; ``{}`` gives a section all its defaults.
+    ``minimum`` bounds an int, ``reject`` is a ``(test, message)`` pair for
+    a float, which is never NaN and with ``finite`` never ±inf. ``when``
+    lists the discriminator values the field applies to; empty means all.
     """
 
     name: str
@@ -152,7 +155,6 @@ class Field(NamedTuple):
     minimum: int | None = None
     reject: tuple | None = None
     finite: bool = False
-    message: str = ""
     when: tuple = ()
 
     def applies(self, kind) -> bool:
@@ -163,15 +165,13 @@ class Section(NamedTuple):
     """A mapping's fields and the spec built from them.
 
     ``by`` names the discriminator that ``Field.when`` refers to; a section
-    without that field takes it from the enclosing one, and a field that
-    does not apply is ignored. ``check``, when set, sees the raw mapping
-    and that kind before the fields are read, for rules that span fields.
+    without that field takes it from the enclosing one. A field that does
+    not apply to the discriminator's value is an unknown field.
     """
 
     fields: tuple[Field, ...]
     make: Callable
     by: str | None = None
-    check: Callable | None = None
 
 
 def _rule(type, default=_REQUIRED, **limits):
@@ -190,29 +190,30 @@ def _rule(type, default=_REQUIRED, **limits):
     return dataclasses.field(default=unset, metadata={"rule": Field("", type, default, **limits)})
 
 
-def _section(spec, make=None, **options) -> Section:
+def _section(spec, make=None, by=None) -> Section:
     """The Section whose fields are the attributes of the dataclass ``spec``."""
     fields = tuple(f.metadata["rule"]._replace(name=f.name) for f in dataclasses.fields(spec))
-    return Section(fields, make or spec, **options)
+    return Section(fields, make or spec, by)
 
 
 def _parse(section: Section, doc, path: str, kind=None):
     """Check ``doc`` against ``section``'s fields and build its spec.
 
-    The first fault met is reported: not a mapping, the section's check,
-    unknown keys, then each field in declaration order.
+    The first fault met is reported: not a mapping, the section's own
+    discriminator, keys that do not apply to it, then each field in
+    declaration order.
     """
     if not isinstance(doc, dict):
         raise ConfigError(path, f"expected a mapping, got {type(doc).__name__}")
-    if section.check:
-        section.check(doc, path, kind)
-    _check_keys(doc, [f.name for f in section.fields], path)
     values = {}
     for f in section.fields:
-        if f.applies(kind) and (value := _field(f, doc, path, values)) is not _OMIT:
+        if f.name == section.by:
+            kind = values[f.name] = _field(f, doc, path, values)
+    fields = [f for f in section.fields if f.applies(kind)]
+    _check_keys(doc, [f.name for f in fields], path)
+    for f in fields:
+        if f.name not in values and (value := _field(f, doc, path, values)) is not _OMIT:
             values[f.name] = value
-            if f.name == section.by:
-                kind = value
     return section.make(**values)
 
 
@@ -245,7 +246,7 @@ def _value(f: Field, value, path: str, outer: dict):
         return _parse(t, value, path, outer.get(t.by))
     if isinstance(t, tuple):
         if value not in t:
-            raise ConfigError(path, f.message.format(value, list(t)))
+            raise ConfigError(path, f"unknown {f.name} {value!r}; valid: {list(t)}")
         return value
     return t(value, path)
 
@@ -266,42 +267,29 @@ def _echo(section: Section, spec, kind=None) -> dict:
 
 
 def _plain(value):
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value.to_dict() if isinstance(value, StepSizeSchedule) else value
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
 # -- the sections -------------------------------------------------------------
 
 
-def _schedule(exponent: float):
-    """A step-size schedule's parser; the schedule echoes itself, exponent included."""
-    section = Section(
+def _schedule(exponent: float) -> Section:
+    """A step-size schedule whose exponent defaults to ``exponent``."""
+    return Section(
         (
-            Field("kind", ("constant", "polynomial"), "polynomial", message="unknown schedule kind {!r}; valid: {}"),
+            Field("kind", ("constant", "polynomial"), "polynomial"),
             Field("scale", float, 1.0, reject=(lambda x: x < 0, "must be nonnegative")),
             Field("exponent", float, exponent, when=("polynomial",),
                   reject=(lambda x: x <= 0, "polynomial schedules need a positive exponent")),
         ),
         StepSizeSchedule, by="kind",
     )
-    return partial(_parse, section)
 
 
 _EARLY_STOP = Section(
     (Field("disagreement", float), Field("actor_update", float), Field("patience", int, 100, minimum=1)),
     EarlyStop,
 )
-
-
-def _params_check(doc, path, strategy):
-    # a strategy takes only its own params, and needs all but a noise seed,
-    # before any value is read
-    fields = [f for f in _PARAMS.fields if f.applies(strategy)]
-    _check_keys(doc, [f.name for f in fields], path)
-    needs = [f.name for f in fields if f.default is _REQUIRED]
-    if any(doc.get(name) is None for name in needs):
-        raise ConfigError(path, f"{strategy} strategy needs {' and '.join(map(repr, needs))}")
 
 
 _PARAMS = Section(
@@ -313,7 +301,7 @@ _PARAMS = Section(
         Field("seed", int, _OMIT, minimum=0, when=("noise",)),
     ),
     lambda **params: tuple(sorted(params.items())),
-    by="strategy", check=_params_check,
+    by="strategy",
 )
 
 _GRAPHS = {
@@ -329,7 +317,7 @@ _GRAPHS = {
 class MdpSpec:
     """The environment: a random MDP drawn from a seed, or one loaded from a file."""
 
-    kind: str = _rule(("random", "file"), "random", message="unknown mdp kind {!r}; use 'random' or 'file'")
+    kind: str = _rule(("random", "file"), "random")
     n_states: int | None = _rule(int, minimum=2, when=("random",))
     actions_per_agent: tuple[int, ...] | None = _rule(_actions, when=("random",))
     reward_range: tuple[float, float] = _rule(_reward_range, (0.0, 4.0), when=("random",))
@@ -341,7 +329,7 @@ class MdpSpec:
 class GraphSpec:
     """The communication graph: a named topology, an edge list, or a periodic schedule of edge lists."""
 
-    topology: str = _rule(tuple(_GRAPHS), message="unknown topology {!r}; valid: {}")
+    topology: str = _rule(tuple(_GRAPHS))
     p: float | None = _rule(float, when=("erdos_renyi",),
                            reject=(lambda x: not 0.0 <= x <= 1.0, "edge probability must lie in [0, 1]"))
     seed: int = _rule(int, 0, minimum=0, when=("erdos_renyi",))
@@ -354,7 +342,7 @@ class GraphSpec:
 class AdversarySpec:
     """Which agents are adversarial (given ids or a random count) and the strategy they run."""
 
-    strategy: str = _rule(tuple(sorted(STRATEGY_NAMES)), message="unknown strategy {!r}; valid: {}")
+    strategy: str = _rule(tuple(sorted(STRATEGY_NAMES)))
     params: tuple = _rule(_PARAMS, {})
     ids: tuple[int, ...] | None = _rule(_ids, _OMIT)
     count: int | None = _rule(int, _OMIT, minimum=0)
@@ -368,35 +356,15 @@ class AdversarySpec:
 class FeatureSpec:
     """The critic's features: tabular (one-hot), or a seeded random projection to ``dim``."""
 
-    kind: str = _rule(("tabular", "projection"), "tabular", message="unknown feature kind {!r}; valid: {}")
+    kind: str = _rule(("tabular", "projection"), "tabular")
     dim: int | None = _rule(int, minimum=1, when=("projection",))
     seed: int = _rule(int, 0, minimum=0, when=("projection",))
 
 
-def _mdp_check(doc, path, _):
-    # the kind decides which fields are allowed, so it is read first
-    kind = doc.get("kind")
-    kind = "random" if kind is None else _value(_MDP.fields[0], kind, f"{path}.kind", {})
-    _check_keys(doc, [f.name for f in _MDP.fields if f.applies(kind)], path)
-
-
-def _graph_check(doc, path, _):
-    # p/seed and edges/phases belong to one topology each; checked once the
-    # keys and the topology are known, before any other field is read
-    _check_keys(doc, [f.name for f in _GRAPH.fields], path)
-    topology = doc.get("topology")
-    if not (isinstance(topology, str) and topology in _GRAPHS):
-        return
-    for names, owner in ((("edges", "phases"), "edges"), (("p", "seed"), "erdos_renyi")):
-        if topology != owner and any(name in doc for name in names):
-            raise ConfigError(path, f"{'/'.join(names)} only apply to topology {owner!r}, not {topology!r}")
-    if topology == "edges" and doc.get("edges") is None and doc.get("phases") is None:
-        raise ConfigError(path, "missing required field 'edges'")
-
-
 def _graph_spec(edges=None, phases=None, **values):
-    # a periodic schedule (phases) takes the place of a static edge list
-    return GraphSpec(edges=edges if phases is None else None, phases=phases, **values)
+    if values["topology"] == "edges" and (edges is None) == (phases is None):
+        raise ConfigError("graph", "give exactly one of 'edges' or 'phases'")
+    return GraphSpec(edges=edges, phases=phases, **values)
 
 
 def _adversary_spec(ids=None, count=None, **values):
@@ -405,8 +373,8 @@ def _adversary_spec(ids=None, count=None, **values):
     return AdversarySpec(ids=ids, count=count, **values)
 
 
-_MDP = _section(MdpSpec, by="kind", check=_mdp_check)
-_GRAPH = _section(GraphSpec, _graph_spec, by="topology", check=_graph_check)
+_MDP = _section(MdpSpec, by="kind")
+_GRAPH = _section(GraphSpec, _graph_spec, by="topology")
 _ADVERSARIES = _section(AdversarySpec, _adversary_spec)
 _FEATURES = _section(FeatureSpec, by="kind")
 

@@ -142,9 +142,6 @@ class StepSizeSchedule:
             return self.scale
         return self.scale / (t + 1) ** self.exponent
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "scale": self.scale, "exponent": self.exponent}
-
 
 @dataclass(frozen=True)
 class EarlyStop:
@@ -470,7 +467,7 @@ def run(sim: Simulation, config_doc: dict | None = None) -> TrajectoryLog:
             "adversaries": sorted(g.adversary_set),
             "config": config_doc,
             "config_sha256": _config_hash(config_doc),
-            "format_version": 1,
+            "format_version": 2,
         }
     )
 

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from resilient_marl import cli
 from resilient_marl.cli import check_graph, main, run_experiment, run_sweep
 from resilient_marl.config import (
     ConfigError,
@@ -13,6 +15,9 @@ from resilient_marl.config import (
 )
 from resilient_marl.engine import StepSizeSchedule
 from resilient_marl.mdp import generate_random_mdp
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMO_CONFIGS = ROOT / "demos" / "configs"
 
 MINIMAL = """
 n_agents: 3
@@ -78,30 +83,30 @@ class TestParseConfig:
             small_config(critic_step={"kind": "constant", "scale": 2.0})
 
     def test_topology_specific_keys_rejected(self):
-        with pytest.raises(ConfigError, match="edges/phases"):
+        with pytest.raises(ConfigError, match=r"graph: unknown field\(s\) \['edges'\]"):
             small_config(graph={"topology": "ring", "edges": [[0, 1]]})
-        with pytest.raises(ConfigError, match="p/seed"):
+        with pytest.raises(ConfigError, match=r"graph: unknown field\(s\) \['p'\]"):
             small_config(graph={"topology": "complete", "p": 0.5})
 
     @pytest.mark.parametrize("section, value, message", [
-        ("graph", {"zz": 1}, "graph: unknown field(s) ['zz']; allowed: "
-         "['edges', 'p', 'phases', 'require_connected', 'seed', 'topology']"),
+        ("graph", {"zz": 1}, "graph: missing required field 'topology'"),
         ("graph", {"topology": "ring", "edges": [], "p": 0.5},
-         "graph: edges/phases only apply to topology 'edges', not 'ring'"),
+         "graph: unknown field(s) ['edges', 'p']; allowed: ['require_connected', 'topology']"),
         ("graph", {"topology": "edges", "p": 0.5},
-         "graph: p/seed only apply to topology 'erdos_renyi', not 'edges'"),
+         "graph: unknown field(s) ['p']; allowed: ['edges', 'phases', 'require_connected', 'topology']"),
         ("graph", {"topology": "edges", "edges": "x", "phases": "y"},
          "graph.phases: expected a nonempty list of edge lists"),
-        ("mdp", {"kind": "wat", "zz": 1}, "mdp.kind: unknown mdp kind 'wat'; use 'random' or 'file'"),
+        ("mdp", {"kind": "wat", "zz": 1}, "mdp.kind: unknown kind 'wat'; valid: ['random', 'file']"),
         ("mdp", {"kind": "file", "path": 5, "n_states": 3},
          "mdp: unknown field(s) ['n_states']; allowed: ['kind', 'path']"),
         ("adversaries", {"count": 1, "strategy": "drift", "params": {"start": "x"}},
-         "adversaries.params: drift strategy needs 'start' and 'rate'"),
+         "adversaries.params.start: expected a number, got 'x'"),
         ("reward_noise", -1, "reward_noise: must be nonnegative"),
     ])
     def test_first_of_two_faults_reported(self, section, value, message):
-        """Of two faults, the one the parser meets first is reported: unknown keys
-        before the kind, a kind's own fields right after it, then fields in order."""
+        """Of two faults, the one the parser meets first is reported: a section's
+        own discriminator (kind, topology, or the strategy its params take), then
+        keys that do not apply to it, then each field in declaration order."""
         doc = yaml.safe_load(MINIMAL)
         doc[section] = value
         doc["record_trims"] = "x"  # a later fault in every case
@@ -133,16 +138,16 @@ class TestParseConfig:
             "early_stop": None, "out": None,
         }
         cfg = small_config(
-            graph={"topology": "edges", "phases": [[[0, 1]], [[1, 2], [2, 0]]], "edges": [[0, 1]]},
-            features={"kind": "tabular", "dim": 7},
-            critic_step={"kind": "constant", "scale": 0.5, "exponent": 2},
+            graph={"topology": "edges", "phases": [[[0, 1]], [[1, 2], [2, 0]]]},
+            features={"kind": "tabular"},
+            critic_step={"kind": "constant", "scale": 0.5},
             adversaries={"count": 1, "strategy": "noise", "params": {"scale": 2}},
         )
         assert cfg.to_dict() == {
             **common,
             "graph": {"topology": "edges", "phases": [[[0, 1]], [[1, 2], [2, 0]]], "require_connected": True},
             "features": {"kind": "tabular"},
-            "critic_step": {"kind": "constant", "scale": 0.5, "exponent": 0.0},
+            "critic_step": {"kind": "constant", "scale": 0.5},
             "adversaries": {"strategy": "noise", "params": {"scale": 2}, "enforce_f_local": True, "count": 1},
         }
         cfg = small_config(
@@ -167,6 +172,34 @@ class TestParseConfig:
     def test_joint_action_cap(self):
         with pytest.raises(ConfigError, match="cap"):
             small_config(n_agents=13, mdp={"n_states": 3, "actions_per_agent": 2})
+
+
+class TestShippedDocuments:
+    """Every config the repository ships parses under the strict format and
+    parses back from its own echo to an equal config with the same echo."""
+
+    @staticmethod
+    def assert_round_trips(doc):
+        cfg = config_from_dict(doc)
+        again = config_from_dict(cfg.to_dict())
+        assert again == cfg
+        assert json.dumps(again.to_dict(), sort_keys=True) == json.dumps(cfg.to_dict(), sort_keys=True)
+
+    @pytest.mark.parametrize("path", [
+        *(DEMO_CONFIGS / name for name in ("cooperative.yaml", "defense.yaml")),
+        *sorted((ROOT / "bench" / "workloads").glob("*.yaml")),
+    ], ids=lambda path: f"{path.parent.name}/{path.name}")
+    def test_config_file(self, path):
+        self.assert_round_trips(yaml.safe_load(path.read_text()))
+
+    def test_sweep_runs_as_merged(self, tmp_path, monkeypatch):
+        docs = []
+        monkeypatch.setattr(cli, "_sweep_worker", lambda task: docs.append(task[0]) or {})
+        sweep_doc = yaml.safe_load((DEMO_CONFIGS / "f_sweep.yaml").read_text())
+        run_sweep(sweep_doc, tmp_path / "s", quiet=True)
+        assert [doc["trim_f"] for doc in docs] == [0, 1, 2]
+        for doc in docs:
+            self.assert_round_trips(doc)
 
 
 class TestBuildSimulation:
@@ -304,6 +337,16 @@ class TestCliMain:
         assert sa["seed"] == 0 and sb["seed"] == 99
         assert sa["final_j_oracle"] != sb["final_j_oracle"]
 
+    def test_seed_override_on_constant_schedule(self, tmp_path):
+        """``--seed`` re-parses the config's own echo, which must not hold a field
+        that does not apply, such as a constant schedule's exponent."""
+        path = self.write_config(tmp_path, rounds=10, actor_step={"kind": "constant", "scale": 0.0})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--seed", "5", "--out", str(out), "--quiet"]) == 0
+        echo = json.loads((out / "summary.json").read_text())["config"]
+        assert echo["seed"] == 5 and echo["actor_step"] == {"kind": "constant", "scale": 0.0}
+        assert config_from_dict(echo) == config_from_dict(dict(yaml.safe_load(path.read_text()), seed=5))
+
     def test_impossible_placement_exit_code(self, tmp_path, capsys):
         path = self.write_config(
             tmp_path,
@@ -340,6 +383,9 @@ class TestCliMain:
         ({"n_agents": 5, "adversaries": {"ids": [0], "strategy": "drift",  # critic dim 3 * 2**5 = 96
                                          "params": {"start": [1, 2], "rate": 0.1}}},
          "adversaries.params.start"),
+        ({"graph": {"topology": "edges", "phases": [[[0, 1], [1, 2], [2, 0]]], "edges": [[0, 1]]}}, "graph"),
+        ({"features": {"kind": "tabular", "dim": 7, "seed": 1}}, "features"),
+        ({"actor_step": {"kind": "constant", "scale": 0.1, "exponent": 0.5}}, "actor_step"),
     ])
     def test_bad_value_rejected_with_its_path(self, tmp_path, capsys, monkeypatch, overrides, path):
         """A value the run could not use is a config error (exit 2) naming the field."""
@@ -370,6 +416,19 @@ class TestCliMain:
         blocker.write_text("")
         assert main(["run", "--config", str(path), "--out", str(blocker / "out"), "--quiet"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command, artifact", [("run", "summary.json"), ("sweep", "sweep_summary.json")])
+    def test_failed_artifact_write_exit_code(self, tmp_path, capsys, command, artifact):
+        """Once the run is done, a failed artifact write is a runtime fault (exit 1)."""
+        doc = dict(yaml.safe_load(MINIMAL), rounds=5)
+        if command == "sweep":
+            doc = {"base": doc, "runs": [{"overrides": {}}]}
+        path = tmp_path / "experiment.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("runtime error: cannot write the ")
 
     def test_check_graph_subcommand(self, tmp_path, capsys):
         path = self.write_config(tmp_path)

@@ -25,7 +25,7 @@ FULL = {
     "trim_f": 1,
     "features": {"kind": "projection", "dim": 6, "seed": 4},
     "critic_step": {"kind": "polynomial", "scale": 0.5, "exponent": 0.7},
-    "actor_step": {"kind": "constant", "scale": 0.1, "exponent": 0.5},
+    "actor_step": {"kind": "constant", "scale": 0.1},
     "adversaries": {"ids": [1], "strategy": "drift", "params": {"start": [0.5], "rate": 0.01},
                     "enforce_f_local": False},
     "log_interval": 5,

@@ -5,6 +5,12 @@ ring, complete, star or two-phase graph, a trim parameter f in {0, 1, 2},
 up to two adversaries with any of the four strategies, reward noise and a
 tabular or projection critic, and runs 10 to 40 rounds. Every round's
 parameters must be bitwise the reference's and the trim events equal.
+
+Two properties need no reference. Where every regular agent has at most f
+adversarial neighbours, the run checks the W-MSR guarantee: each regular
+critic's mix stays within the hull of its own and its regular neighbours'
+values, or the run raises. Every agent's average-reward tracker stays
+within the reward range widened by the noise scale.
 """
 import itertools
 
@@ -14,13 +20,14 @@ from hypothesis import strategies as st
 
 from resilient_marl.consensus import ConstantStrategy, DriftStrategy, NoiseStrategy, SelfishStrategy
 from resilient_marl.engine import Simulation, StepSizeSchedule, projection_features, run, tabular_features
-from resilient_marl.graphs import GraphSchedule
+from resilient_marl.graphs import GraphSchedule, is_r_local
 from resilient_marl.mdp import generate_random_mdp
 
 from reference_algorithm import run_reference
 from test_engine import _feature_matrix
 
 _VALUES = st.floats(-5.0, 5.0, allow_nan=False)
+REWARD_RANGE = (-1.0, 3.0)
 
 
 @st.composite
@@ -46,7 +53,7 @@ def _case(draw):
     n = draw(st.sampled_from([2, 3, 4, 5]))
     n_states = draw(st.integers(2, 4))
     counts = draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))
-    mdp = generate_random_mdp(n, n_states, counts, (-1.0, 3.0), seed=draw(seeds))
+    mdp = generate_random_mdp(n, n_states, counts, REWARD_RANGE, seed=draw(seeds))
 
     adversary_ids = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
     adversaries = {i: draw(_adversary(seeds)) for i in adversary_ids}
@@ -77,6 +84,7 @@ def _case(draw):
         seed=draw(seeds),
         strategies={i: strategy for i, (strategy, _) in adversaries.items()},
         log_interval=1,
+        check_regular_hull=is_r_local(graph, graph.adversary_set, f),
         snapshot_params=True,
         reward_noise=reward_noise,
         initial_state=draw(st.integers(0, n_states - 1)),
@@ -105,8 +113,11 @@ def test_engine_matches_reference(case):
                             sim.n_rounds, sim.seed, trim_events=events, **extra)
     assert log.trim_events == events
     assert len(log.rows) == len(history) == sim.n_rounds + 1
+    low, high = REWARD_RANGE
+    noise = extra["reward_noise"]
     for row, (thetas, omegas, mus) in zip(log.rows, history):
         for i in range(sim.mdp.n_agents):
             assert np.array_equal(np.array(row.params["theta"][i]), thetas[i]), (row.t, i)
             assert np.array_equal(np.array(row.params["omega"][i]), omegas[i]), (row.t, i)
             assert row.params["avg_reward"][i] == mus[i], (row.t, i)
+            assert low - noise <= mus[i] <= high + noise, (row.t, i)
