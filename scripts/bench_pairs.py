@@ -7,15 +7,15 @@ For every workload and seed, runs ``bench/run.py --trace 0`` once in each
 checkout, each in its own fresh process as the benchmark does, and
 alternates which side goes first from one seed to the next so that both
 see the same drift in host load. It prints, per workload and end-to-end
-metric, the median and quartiles of each side and how many pairs the head
-won. ``--trace-seed`` adds one ``--trace 1`` run per side, whose per-layer
+metric, the median and quartiles of each side, how many pairs the head
+won and a verdict (see ``verdict``). ``--trace-seed`` adds one ``--trace 1`` run per side, whose per-layer
 table goes into the record. The record also holds the machine facts, the
 commands and every single run; each checkout is named by its git commit,
 if any, whether its ``src`` differs from that commit, and a digest of its
 ``src`` tree.
 
-The metric names and their better direction come from the base checkout's
-``BENCHMARK.json``. Nothing under either checkout's ``bench/`` is changed.
+The metric names, their better direction and their regression bounds come
+from the base checkout's ``BENCHMARK.json``. Nothing under either checkout's ``bench/`` is changed.
 """
 from __future__ import annotations
 
@@ -71,8 +71,35 @@ def summarize(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(base: list[float], head: list[float], better: str, bound: float, pairs: int) -> str:
+    """``gain``, ``regressed``, ``unresolved`` or ``unchanged``, checked in that order.
+
+    - gain: the head wins at least nine tenths of the ``pairs`` run (ties
+      count for neither side), and its median is better than the base's
+      by more than the base's interquartile spread;
+    - regressed: the head's median is worse than the base's by more than
+      ``bound`` times the base's median;
+    - unresolved: the base's interquartile spread is wider than ``bound``
+      times its median, so a change within the bound cannot be told from
+      noise, unless every head run reads better than every base run;
+    - unchanged: anything else.
+    """
+    sign = 1 if better == "higher" else -1
+    b, h = summarize(base), summarize(head)
+    wins = sum(sign * (y - x) > 0 for x, y in zip(base, head))
+    spread = b["q3"] - b["q1"]
+    ahead = sign * (h["median"] - b["median"])
+    if wins >= 0.9 * pairs and ahead > spread:
+        return "gain"
+    if -ahead > bound * b["median"]:
+        return "regressed"
+    if spread > bound * b["median"] and not min(sign * y for y in head) > max(sign * x for x in base):
+        return "unresolved"
+    return "unchanged"
+
+
 def compare(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: each side's median and quartiles, and the head's wins."""
+    """Per metric: each side's median and quartiles, the head's wins and the verdict."""
     out = {}
     done = [p for p in pairs if "metrics" in p["base"] and "metrics" in p["head"]]
     for spec in metrics:
@@ -85,11 +112,13 @@ def compare(pairs: list[dict], metrics: list[dict]) -> dict:
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
+            "bound": spec["bound"],
             "base": summarize(base),
             "head": summarize(head),
             "head_over_base": statistics.median(head) / statistics.median(base),
             "head_wins": sum(sign * (h - b) > 0 for b, h in zip(base, head)),
             "pairs": len(done),
+            "verdict": verdict(base, head, spec["better"], spec["bound"], len(pairs)),
         }
     return out
 
@@ -166,7 +195,7 @@ def main(argv=None):
             print(f"  {workload} {name:<14} base {s['base']['median']:10.4f} "
                   f"[{s['base']['q1']:.4f}, {s['base']['q3']:.4f}]  head {s['head']['median']:10.4f} "
                   f"[{s['head']['q1']:.4f}, {s['head']['q3']:.4f}]  x{s['head_over_base']:.3f}  "
-                  f"head wins {s['head_wins']}/{s['pairs']}", flush=True)
+                  f"head wins {s['head_wins']}/{s['pairs']}  {s['verdict']}", flush=True)
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 

@@ -1,14 +1,19 @@
 """Command-line entry points: run, sweep, check-graph.
 
-All run artifacts are deterministic in (config, seed): the trajectory log,
-final parameter snapshot, and summary record never change across reruns.
-Wall-clock timing goes to a separate run_info.json that sits outside the
-determinism contract.
+This module writes every artifact; ``engine.run`` returns the trajectory
+in memory. trajectory.jsonl is one JSON object per line, keys sorted: a
+header (``kind: meta``, the engine's metadata, the config echo, its
+``config_sha256`` and ``format_version``), then metric rows (``kind:
+metrics``, a MetricsRow's fields) and trim events (``kind: trim``, ``t``,
+``agent``, ``trimmed``) in round order, the row of t completed rounds
+before the events of round t. Every artifact but run_info.json, which
+holds wall-clock timing, is deterministic in (config, seed).
 """
 from __future__ import annotations
 
 import argparse
 import copy
+import hashlib
 import json
 import os
 import sys
@@ -19,6 +24,8 @@ import yaml
 
 from resilient_marl.config import (
     ConfigError,
+    _as_int,
+    _check_keys,
     ExperimentConfig,
     build_simulation,
     config_from_dict,
@@ -58,19 +65,50 @@ def _write_json(path, record, sort_keys=False):
         fh.write("\n")
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> dict:
-    """Execute one experiment and write its artifacts under out_dir.
+def _row_record(row) -> dict:
+    rec = {
+        "kind": "metrics",
+        "t": row.t,
+        "j_oracle": row.j_oracle,
+        "avg_reward_window": row.avg_reward_window,
+        "disagreement": row.disagreement,
+        "avg_rewards": list(row.avg_rewards),
+    }
+    if row.params is not None:
+        rec["params"] = row.params
+    return rec
 
-    Writes trajectory.jsonl (metadata header, metric rows, trim events),
-    final_params.json, summary.json, and run_info.json. Returns the
-    summary record.
+
+def _write_trajectory(path, header: dict, log) -> None:
+    """Write trajectory.jsonl one record at a time (layout in the module docstring)."""
+    rows = log.rows
+    with open(path, "w", encoding="utf-8") as fh:
+        def write(rec):
+            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+
+        write({"kind": "meta", **header})
+        next_row = 0
+        for t, agent, senders in log.trim_events:
+            while next_row < len(rows) and rows[next_row].t <= t:
+                write(_row_record(rows[next_row]))
+                next_row += 1
+            write({"kind": "trim", "t": t, "agent": agent, "trimmed": list(senders)})
+        for row in rows[next_row:]:
+            write(_row_record(row))
+
+
+def run_experiment(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> dict:
+    """Execute one experiment and write its four artifacts under out_dir.
+
+    Returns the summary record.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sim = build_simulation(cfg)
-    config_doc = cfg.to_dict()
+    config = cfg.to_dict()
+    config_sha256 = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
     started = time.time()
-    log = run(sim, config_doc=config_doc)
+    log = run(sim)
     duration = time.time() - started
 
     final = log.rows[-1]
@@ -80,11 +118,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> dict:
         "initial_j_oracle": log.rows[0].j_oracle,
         "rounds_executed": log.metadata["rounds_executed"],
         "seed": cfg.seed,
-        "config_sha256": log.metadata["config_sha256"],
-        "config": config_doc,
+        "config_sha256": config_sha256,
+        "config": config,
     }
+    header = {**log.metadata, "config": config, "config_sha256": config_sha256, "format_version": 2}
     try:
-        log.write_jsonl(out_dir / "trajectory.jsonl")
+        _write_trajectory(out_dir / "trajectory.jsonl", header, log)
         _write_json(out_dir / "summary.json", summary, sort_keys=True)
         _write_json(out_dir / "final_params.json", log.final_params, sort_keys=True)
         _write_json(out_dir / "run_info.json", {"started_unix": started, "duration_sec": duration})
@@ -168,26 +207,39 @@ def _sweep_worker(args):
 def run_sweep(sweep_doc: dict, out_root, jobs: int = 1, quiet: bool = False) -> list[dict]:
     """Run every override of a sweep document, one directory per run.
 
-    Each run gets seed = base seed + run index unless its override pins a
-    seed explicitly. Runs execute in parallel up to ``jobs``, with no more
-    workers than runs.
+    ``runs`` lists ``{name, overrides}``, where null means the default and
+    a name is a unique file name. Every run is checked before any starts.
+    Each gets seed = base seed + run index unless its override pins a seed.
+    Runs execute in parallel up to ``jobs``, with no more workers than runs.
     """
     if not isinstance(sweep_doc, dict) or "base" not in sweep_doc or "runs" not in sweep_doc:
         raise ConfigError("<sweep>", "sweep document needs 'base' and 'runs'")
+    _check_keys(sweep_doc, ("base", "runs"), "<sweep>")
     base = sweep_doc["base"]
     runs = sweep_doc["runs"]
     if not isinstance(base, dict):
         raise ConfigError("<sweep>.base", "expected a mapping")
     if not isinstance(runs, list) or not runs:
         raise ConfigError("<sweep>.runs", "expected a nonempty list of runs")
-    base_seed = base.get("seed", 0)
+    seed = base.get("seed")
+    base_seed = 0 if seed is None else _as_int(seed, "<sweep>.base.seed", minimum=0)
     out_root = Path(out_root)
     tasks = []
+    names = set()
     for idx, entry in enumerate(runs):
+        path = f"<sweep>.runs[{idx}]"
         if not isinstance(entry, dict):
-            raise ConfigError(f"<sweep>.runs[{idx}]", "expected a mapping")
-        overrides = entry.get("overrides", {})
-        name = entry.get("name", f"run_{idx:03d}")
+            raise ConfigError(path, "expected a mapping")
+        _check_keys(entry, ("name", "overrides"), path)
+        overrides = {} if entry.get("overrides") is None else entry["overrides"]
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"{path}.overrides", "expected a mapping")
+        name = f"run_{idx:03d}" if entry.get("name") is None else entry["name"]
+        if not isinstance(name, str):
+            raise ConfigError(f"{path}.name", f"expected a string, got {name!r}")
+        if name in names or name in ("", ".", "..") or "/" in name or os.sep in name:
+            raise ConfigError(f"{path}.name", f"expected a unique file name, got {name!r}")
+        names.add(name)
         doc = _deep_merge(base, overrides)
         if "seed" not in overrides:
             doc["seed"] = base_seed + idx

@@ -1,11 +1,12 @@
 """Synchronous-round orchestration of the adversary-aware actor-critic.
 
-Each round performs, in order: environment transition and reward
-observation (with the running-reward update), action selection at the new
-state, the TD/critic/advantage/actor updates, message exchange, and the
-trim-and-mix consensus step. Regular agents follow the full update;
-adversarial agents keep their own staged critic value and send whatever
-their strategy fabricates.
+``run`` returns the trajectory in memory and writes nothing. Each round
+performs, in order: environment transition and reward observation (with
+the running-reward update), action selection at the new state, the
+TD/critic/advantage/actor updates, message exchange, and the trim-and-mix
+consensus step. Regular agents follow the full update; adversarial agents
+keep their own staged critic value and send whatever their strategy
+fabricates.
 
 Every step is a whole-network array pass through the op-layer rules of
 ``agents`` and ``consensus``, called once per block or group (the
@@ -50,8 +51,6 @@ one-agent-at-a-time loop (pinned by ``tests/reference_algorithm.py``).
 """
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,30 +171,13 @@ class MetricsRow:
     avg_rewards: tuple[float, ...]
     params: dict | None = None
 
-    def to_record(self) -> dict:
-        rec = {
-            "kind": "metrics",
-            "t": self.t,
-            "j_oracle": self.j_oracle,
-            "avg_reward_window": self.avg_reward_window,
-            "disagreement": self.disagreement,
-            "avg_rewards": list(self.avg_rewards),
-        }
-        if self.params is not None:
-            rec["params"] = self.params
-        return rec
-
-
-def _json_line(rec: dict) -> str:
-    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
-
 
 @dataclass
 class TrajectoryLog:
     """Append-only run record: metadata, metric rows, trim events.
 
-    ``final_params`` holds the end-of-run parameter snapshot; it is kept
-    out of the serialized stream so the jsonl stays row-oriented.
+    ``run`` returns it in memory and writes nothing; ``final_params`` holds
+    the end-of-run parameter snapshot.
     """
 
     metadata: dict
@@ -210,32 +192,6 @@ class TrajectoryLog:
 
     def add_trim_event(self, t: int, agent: int, senders) -> None:
         self.trim_events.append((t, agent, tuple(senders)))
-
-    def iter_records(self):
-        """Metadata, then rows and trim events merged by round, one at a time.
-
-        Both lists are already in round order; a row goes before the trim
-        events of its round (``row.t <= event t``).
-        """
-        yield {"kind": "meta", **self.metadata}
-        rows = self.rows
-        next_row = 0
-        for t, agent, senders in self.trim_events:
-            while next_row < len(rows) and rows[next_row].t <= t:
-                yield rows[next_row].to_record()
-                next_row += 1
-            yield {"kind": "trim", "t": t, "agent": agent, "trimmed": list(senders)}
-        for row in rows[next_row:]:
-            yield row.to_record()
-
-    def to_json_lines(self) -> list[str]:
-        return [_json_line(rec) for rec in self.iter_records()]
-
-    def write_jsonl(self, path) -> None:
-        """Write one record per line as it is produced, not the whole list at once."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.iter_records():
-                fh.write(_json_line(rec) + "\n")
 
     @property
     def final_row(self) -> MetricsRow:
@@ -344,12 +300,6 @@ def _disagreement(omegas: np.ndarray) -> float:
     return float((omegas.max(axis=0) - omegas.min(axis=0)).max())
 
 
-def _config_hash(doc) -> str | None:
-    if doc is None:
-        return None
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-
-
 @dataclass(frozen=True)
 class _ReceiverGroup:
     """Regular agents of one phase that share a degree k > 0.
@@ -424,7 +374,7 @@ def _first_non_finite(state: NetworkState) -> int | None:
     return int(np.argmin(finite))
 
 
-def run(sim: Simulation, config_doc: dict | None = None) -> TrajectoryLog:
+def run(sim: Simulation) -> TrajectoryLog:
     """Execute the full algorithm for sim.n_rounds synchronous rounds.
 
     Deterministic in sim.seed. Raises NonFiniteParameterError the moment
@@ -465,9 +415,6 @@ def run(sim: Simulation, config_doc: dict | None = None) -> TrajectoryLog:
             "rounds_executed": 0,
             "trim_f": f,
             "adversaries": sorted(g.adversary_set),
-            "config": config_doc,
-            "config_sha256": _config_hash(config_doc),
-            "format_version": 2,
         }
     )
 

@@ -16,7 +16,11 @@ time. Covered features:
 - constant, drift, noise and selfish adversaries, which run their own
   local updates, keep their staged critic and broadcast a fabricated
   payload (a selfish one broadcasts its staged critic);
-- additive uniform reward noise.
+- additive uniform reward noise;
+- the logging rule and early stop: a snapshot every ``log_interval``
+  rounds and after the last round, and a stop, with a final snapshot,
+  once the regular critics' spread and the largest actor move have both
+  stayed below their thresholds for ``patience`` rounds in a row.
 
 Random-draw contract mirrored from the engine docs: one uniform draw per
 agent (ascending id) for the initial action, then per round one draw for
@@ -70,11 +74,23 @@ def run_reference(
     reward_noise=0.0,
     features=None,
     trim_events=None,
+    log_interval=1,
+    early_stop=None,
+    logged_rounds=None,
 ):
-    """Return per-round parameter snapshots [(thetas, omegas, mus), ...].
+    """Return parameter snapshots [(thetas, omegas, mus), ...] at the logged rounds.
 
-    The first snapshot is the initial state (all zeros); one more follows
-    each completed round, so the list has n_rounds + 1 entries.
+    The first snapshot is the initial state (all zeros). One more follows
+    each round whose completed-round count is a multiple of
+    ``log_interval``, the last round, and the round the run stops in, so
+    with the default ``log_interval=1`` and no early stop the list has
+    n_rounds + 1 entries. ``early_stop`` is ``(disagreement, actor_update,
+    patience)``: a round is calm when the largest coordinate-wise spread
+    of the regular agents' mixed critics is below ``disagreement`` and no
+    agent's actor moved by ``actor_update`` or more in any coordinate;
+    the run stops after ``patience`` calm rounds in a row. A
+    ``logged_rounds`` list receives the completed-round count of each
+    snapshot.
 
     ``phases`` (a list of edge lists) replaces ``edges`` when given.
     ``adversaries`` maps an agent id to ``("constant", value)``,
@@ -201,6 +217,9 @@ def run_reference(
     a = encode(a_locals)
 
     history = [snapshot()]
+    if logged_rounds is not None:
+        logged_rounds.append(0)
+    calm_rounds = 0
     for t in range(n_rounds):
         beta_w = critic_scale / (t + 1) ** critic_exponent
         beta_t = actor_scale / (t + 1) ** actor_exponent
@@ -221,6 +240,7 @@ def run_reference(
 
         phi = critic_gradient(s, a)
         staged = []
+        actor_move = 0.0
         for i in range(n_agents):
             q_curr = q(omegas[i], s, a)
             q_next = q(omegas[i], s_next, a_next)
@@ -241,7 +261,9 @@ def run_reference(
             psi = np.zeros(n_states * n_acts)
             psi[s * n_acts : (s + 1) * n_acts] = -probs
             psi[s * n_acts + own_action] += 1.0
-            thetas[i] = thetas[i] + beta_t * adv * psi
+            new_theta = thetas[i] + beta_t * adv * psi
+            actor_move = max(actor_move, float(np.abs(new_theta - thetas[i]).max()))
+            thetas[i] = new_theta
 
         sent = [payload(i, staged[i], t) for i in range(n_agents)]
         neighbors = phase_neighbors[t % len(phases)]
@@ -260,6 +282,21 @@ def run_reference(
         omegas = new_omegas
 
         s, a, a_locals = s_next, a_next, a_next_locals
-        history.append(snapshot())
+
+        stop = False
+        if early_stop is not None:
+            max_spread, max_move, patience = early_stop
+            regular = [omegas[i] for i in range(n_agents) if i not in adversaries]
+            spread = 0.0
+            if len(regular) > 1:
+                spread = float((np.max(regular, axis=0) - np.min(regular, axis=0)).max())
+            calm_rounds = calm_rounds + 1 if spread < max_spread and actor_move < max_move else 0
+            stop = calm_rounds >= patience
+        if (t + 1) % log_interval == 0 or t == n_rounds - 1 or stop:
+            history.append(snapshot())
+            if logged_rounds is not None:
+                logged_rounds.append(t + 1)
+        if stop:
+            break
 
     return history

@@ -522,3 +522,37 @@ class TestSweep:
         assert main(argv + seed_args) == 2
         assert "<sweep>.base" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sweep, path", [
+        ({"runs": [{"name": 5}]}, "<sweep>.runs[0].name"),
+        ({"runs": [{"overrides": [1, 2]}]}, "<sweep>.runs[0].overrides"),
+        ({"base": {"seed": "x"}}, "<sweep>.base.seed"),
+        ({"base": {"seed": True}}, "<sweep>.base.seed"),
+        ({"runs": [{"overides": {"trim_f": 1}}]}, "<sweep>.runs[0]"),
+        ({"note": "x"}, "<sweep>"),
+        ({"runs": [{"name": "a"}, {"name": "a", "overrides": {"trim_f": 1}}]}, "<sweep>.runs[1].name"),
+        ({"runs": [{"name": "../escaped"}]}, "<sweep>.runs[0].name"),
+        ({"runs": [{"name": ".."}]}, "<sweep>.runs[0].name"),
+        ({"runs": [{"name": ""}]}, "<sweep>.runs[0].name"),
+    ], ids=["name_not_string", "overrides_not_mapping", "seed_string", "seed_bool", "run_key_typo",
+            "unknown_top_key", "duplicate_name", "name_escapes", "name_dotdot", "name_empty"])
+    def test_bad_sweep_rejected_before_any_run(self, tmp_path, capsys, sweep, path):
+        """A malformed sweep, or one that would run with settings it does not state or
+        write outside --out or over another run, exits 2 naming the field."""
+        base = dict(yaml.safe_load(MINIMAL), rounds=5)
+        doc = {"base": base, "runs": [{"overrides": {}}]}
+        for key, value in sweep.items():
+            doc[key] = dict(base, **value) if key == "base" else value
+        config = tmp_path / "sweep.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "box" / "o"
+        assert main(["sweep", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not (tmp_path / "box").exists()
+
+    def test_null_overrides_run_the_base(self, tmp_path):
+        base = dict(yaml.safe_load(MINIMAL), rounds=5, seed=3)
+        results = run_sweep({"base": base, "runs": [{"name": "b", "overrides": None}]},
+                            tmp_path / "s", quiet=True)
+        assert [r["seed"] for r in results] == [3]
+        assert (tmp_path / "s" / "b" / "summary.json").exists()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from resilient_marl.cli import _write_trajectory
 from resilient_marl.consensus import ConstantStrategy, DriftStrategy, NoiseStrategy, SelfishStrategy
 from resilient_marl.engine import (
     EarlyStop,
@@ -73,11 +74,11 @@ class TestRunBasics:
     def test_deterministic_in_seed(self):
         mdp = generate_random_mdp(3, 3, 2, (0.0, 2.0), seed=1)
         g = GraphSchedule.ring(3)
-        log_a = run(make_sim(mdp, g, 300, seed=9), config_doc={"x": 1})
-        log_b = run(make_sim(mdp, g, 300, seed=9), config_doc={"x": 1})
-        assert log_a.to_json_lines() == log_b.to_json_lines()
-        log_c = run(make_sim(mdp, g, 300, seed=10), config_doc={"x": 1})
-        assert log_a.to_json_lines() != log_c.to_json_lines()
+        log_a = run(make_sim(mdp, g, 300, seed=9))
+        log_b = run(make_sim(mdp, g, 300, seed=9))
+        assert log_a == log_b
+        log_c = run(make_sim(mdp, g, 300, seed=10))
+        assert log_a.rows != log_c.rows
 
     def test_final_row_at_odd_horizon(self):
         mdp = generate_random_mdp(2, 3, 2, (0.0, 1.0), seed=0)
@@ -155,17 +156,24 @@ class TestRunBasics:
         assert log.rows[-1].t == log.metadata["rounds_executed"]
 
     def test_jsonl_round_trip(self, tmp_path):
+        """The CLI's writer puts the header first, then the engine's rows and trim
+        events in round order, a row before the events of its round."""
         import json
 
-        mdp = generate_random_mdp(2, 3, 2, (0.0, 1.0), seed=6)
-        log = run(make_sim(mdp, GraphSchedule.ring(2), 120), config_doc={"note": "x"})
+        mdp = generate_random_mdp(5, 3, 2, (0.0, 1.0), seed=6)
+        g = GraphSchedule.complete(5, adversary_set={4}, trim_f=1)
+        log = run(make_sim(mdp, g, 120, log_interval=10, strategies={4: ConstantStrategy(100.0)}))
         path = tmp_path / "trajectory.jsonl"
-        log.write_jsonl(path)
+        _write_trajectory(path, {"note": "x"}, log)
         records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert records[0]["kind"] == "meta"
-        assert records[0]["config"] == {"note": "x"}
-        kinds = {r["kind"] for r in records}
-        assert "metrics" in kinds
+        assert records[0] == {"kind": "meta", "note": "x"}
+        rows = [r for r in records if r["kind"] == "metrics"]
+        events = [r for r in records if r["kind"] == "trim"]
+        assert [r["t"] for r in rows] == [row.t for row in log.rows]
+        assert rows[-1]["j_oracle"] == log.final_row.j_oracle
+        assert [(r["t"], r["agent"], tuple(r["trimmed"])) for r in events] == log.trim_events
+        order = [(r["t"], r["kind"] == "trim") for r in records[1:]]
+        assert events and order == sorted(order)
 
 
 class TestComputeMetrics:
@@ -295,6 +303,15 @@ def _reference_case(name):
     raise ValueError(name)
 
 
+def _assert_rows_equal(rows, history):
+    """Every agent's theta, omega and reward tracker in each row equal the snapshot's."""
+    for row, (thetas, omegas, mus) in zip(rows, history):
+        for i in range(len(thetas)):
+            assert np.array_equal(np.array(row.params["theta"][i]), thetas[i]), (row.t, i)
+            assert np.array_equal(np.array(row.params["omega"][i]), omegas[i]), (row.t, i)
+            assert row.params["avg_reward"][i] == mus[i], (row.t, i)
+
+
 class TestEngineMatchesReference:
     @pytest.mark.parametrize("case", [
         "trim_constant", "trim_inf", "trim_neg_inf", "trim_ties_f2", "drift_periodic",
@@ -315,11 +332,29 @@ class TestEngineMatchesReference:
         assert log.trim_events == events
         assert events or not extra.get("trim_f"), "a trimming case should drop whole senders"
         assert len(log.rows) == len(history) == sim.n_rounds + 1
-        for row, (thetas, omegas, mus) in zip(log.rows, history):
-            for i in range(sim.mdp.n_agents):
-                assert np.array_equal(np.array(row.params["theta"][i]), thetas[i]), (row.t, i)
-                assert np.array_equal(np.array(row.params["omega"][i]), omegas[i]), (row.t, i)
-                assert row.params["avg_reward"][i] == mus[i], (row.t, i)
+        _assert_rows_equal(log.rows, history)
+
+    def test_early_stop_after_calm_rounds(self):
+        """The patience rule stops the run in the reference's round, after rounds that
+        were not calm, and the stop round's row is logged off the log interval."""
+        mdp = generate_random_mdp(5, 3, 2, (0.0, 4.0), seed=41)
+        g = GraphSchedule.complete(5, adversary_set={4}, trim_f=1)
+        stop = EarlyStop(disagreement=0.08, actor_update=0.02, patience=8)
+        sim = make_sim(mdp, g, 400, strategies={4: ConstantStrategy(7.5)}, log_interval=7,
+                       snapshot_params=True, early_stop=stop)
+        log = run(sim)
+        edges = sorted(tuple(e) for e in g.edges_at(0))
+        logged, events = [], []
+        history = run_reference(mdp.transition, mdp.rewards, mdp.action_counts, edges,
+                                sim.n_rounds, sim.seed, trim_f=1, adversaries={4: ("constant", 7.5)},
+                                log_interval=7, early_stop=(0.08, 0.02, 8), logged_rounds=logged,
+                                trim_events=events)
+        executed = log.metadata["rounds_executed"]
+        assert stop.patience < executed < sim.n_rounds and executed % sim.log_interval != 0
+        assert [row.t for row in log.rows] == logged and logged[-1] == executed
+        assert log.trim_events == events
+        assert len(log.rows) == len(history)
+        _assert_rows_equal(log.rows, history)
 
     @pytest.mark.parametrize("case", ["trim_inf", "trim_neg_inf"])
     def test_infinite_broadcaster_trimmed_every_round(self, case):
