@@ -1,13 +1,18 @@
 """Command-line entry points: run, sweep, check-graph.
 
-This module writes every artifact; ``engine.run`` returns the trajectory
-in memory. trajectory.jsonl is one JSON object per line, keys sorted: a
-header (``kind: meta``, the engine's metadata, the config echo, its
+This module writes every artifact; ``engine.run`` opens no file.
+trajectory.jsonl is one JSON object per line, keys sorted: a header
+(``kind: meta``, the engine's metadata, the config echo, its
 ``config_sha256`` and ``format_version``), then metric rows (``kind:
 metrics``, a MetricsRow's fields) and trim events (``kind: trim``, ``t``,
 ``agent``, ``trimmed``) in round order, the row of t completed rounds
-before the events of round t. Every artifact but run_info.json, which
-holds wall-clock timing, is deterministic in (config, seed).
+before the events of round t. The body is streamed while the run runs,
+through the engine's sink into an unnamed temporary file in the output
+directory, so its memory does not grow with the rounds; the header, which
+holds ``rounds_executed``, is written last, in front of the copied body.
+A run that raises leaves no trajectory.jsonl. Every artifact but
+run_info.json, which holds wall-clock timing, is deterministic in
+(config, seed).
 """
 from __future__ import annotations
 
@@ -16,7 +21,9 @@ import copy
 import hashlib
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -79,22 +86,28 @@ def _row_record(row) -> dict:
     return rec
 
 
-def _write_trajectory(path, header: dict, log) -> None:
-    """Write trajectory.jsonl one record at a time (layout in the module docstring)."""
-    rows = log.rows
-    with open(path, "w", encoding="utf-8") as fh:
-        def write(rec):
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+def _json_line(rec: dict) -> str:
+    return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
 
-        write({"kind": "meta", **header})
-        next_row = 0
-        for t, agent, senders in log.trim_events:
-            while next_row < len(rows) and rows[next_row].t <= t:
-                write(_row_record(rows[next_row]))
-                next_row += 1
-            write({"kind": "trim", "t": t, "agent": agent, "trimmed": list(senders)})
-        for row in rows[next_row:]:
-            write(_row_record(row))
+
+class _TrajectoryBody:
+    """Engine sink: each metrics row and trim event as one trajectory.jsonl line.
+
+    A trim line is the bytes ``_json_line`` gives for its record, formatted
+    directly: the events come several a round, inside the round loop, and
+    json.dumps costs about four times as much a line.
+    """
+
+    _TRIM = '{"agent":%d,"kind":"trim","t":%d,"trimmed":[%s]}\n'
+
+    def __init__(self, fh):
+        self.write = fh.write
+
+    def row(self, row) -> None:
+        self.write(_json_line(_row_record(row)))
+
+    def trim(self, t: int, agent: int, senders) -> None:
+        self.write(self._TRIM % (agent, t, ",".join(map(str, senders))))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> dict:
@@ -107,27 +120,33 @@ def run_experiment(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> dict:
     sim = build_simulation(cfg)
     config = cfg.to_dict()
     config_sha256 = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
-    started = time.time()
-    log = run(sim)
-    duration = time.time() - started
-
-    final = log.rows[-1]
-    summary = {
-        "final_j_oracle": final.j_oracle,
-        "final_disagreement": final.disagreement,
-        "initial_j_oracle": log.rows[0].j_oracle,
-        "rounds_executed": log.metadata["rounds_executed"],
-        "seed": cfg.seed,
-        "config_sha256": config_sha256,
-        "config": config,
-    }
-    header = {**log.metadata, "config": config, "config_sha256": config_sha256, "format_version": 2}
-    try:
-        _write_trajectory(out_dir / "trajectory.jsonl", header, log)
+    try:  # losing a valid run's output is a runtime fault, not a config error
+        # the header holds rounds_executed, known only at the end: the body
+        # streams into an unnamed file and is copied after the header
+        with tempfile.TemporaryFile("w+", encoding="utf-8", dir=out_dir) as body:
+            started = time.time()
+            log = run(sim, sink=_TrajectoryBody(body))
+            duration = time.time() - started
+            header = {**log.metadata, "config": config, "config_sha256": config_sha256, "format_version": 2}
+            with open(out_dir / "trajectory.jsonl", "w", encoding="utf-8") as fh:
+                fh.write(_json_line({"kind": "meta", **header}))
+                fh.flush()
+                body.seek(0)
+                # as bytes, 16 KiB at a time: decoding would hold several chunks
+                shutil.copyfileobj(body.buffer, fh.buffer, 1 << 14)
+        summary = {
+            "final_j_oracle": log.final_row.j_oracle,
+            "final_disagreement": log.final_row.disagreement,
+            "initial_j_oracle": log.rows[0].j_oracle,
+            "rounds_executed": log.metadata["rounds_executed"],
+            "seed": cfg.seed,
+            "config_sha256": config_sha256,
+            "config": config,
+        }
         _write_json(out_dir / "summary.json", summary, sort_keys=True)
         _write_json(out_dir / "final_params.json", log.final_params, sort_keys=True)
         _write_json(out_dir / "run_info.json", {"started_unix": started, "duration_sec": duration})
-    except OSError as exc:  # the run is done: losing its output is a runtime fault, not a config error
+    except OSError as exc:
         raise SimulationError(f"cannot write the artifacts: {exc}") from exc
     if not quiet:
         print(
@@ -208,8 +227,9 @@ def run_sweep(sweep_doc: dict, out_root, jobs: int = 1, quiet: bool = False) -> 
     """Run every override of a sweep document, one directory per run.
 
     ``runs`` lists ``{name, overrides}``, where null means the default and
-    a name is a unique file name. Every run is checked before any starts.
-    Each gets seed = base seed + run index unless its override pins a seed.
+    a name is a unique file name. Every run is checked before any starts;
+    a bad run config is reported under the run's path. Each run gets seed =
+    base seed + run index unless its override pins a non-null seed.
     Runs execute in parallel up to ``jobs``, with no more workers than runs.
     """
     if not isinstance(sweep_doc, dict) or "base" not in sweep_doc or "runs" not in sweep_doc:
@@ -241,10 +261,13 @@ def run_sweep(sweep_doc: dict, out_root, jobs: int = 1, quiet: bool = False) -> 
             raise ConfigError(f"{path}.name", f"expected a unique file name, got {name!r}")
         names.add(name)
         doc = _deep_merge(base, overrides)
-        if "seed" not in overrides:
+        if overrides.get("seed") is None:
             doc["seed"] = base_seed + idx
         doc.pop("out", None)
-        config_from_dict(doc)  # fail fast on any bad override before launching
+        try:  # fail fast on any bad override before launching
+            config_from_dict(doc)
+        except ConfigError as exc:
+            raise ConfigError(path, str(exc)) from exc
         tasks.append((doc, out_root / name, quiet))
     # a fork-started pool starts every worker at the first submit, used or not
     jobs = min(max(1, jobs), len(tasks))
@@ -305,10 +328,9 @@ def main(argv=None) -> int:
                     sweep_doc = yaml.safe_load(fh)
                 except yaml.YAMLError as exc:
                     raise ConfigError("<sweep>", f"unparseable document: {exc}") from exc
-            if args.seed is not None and isinstance(sweep_doc, dict):
-                base = sweep_doc.setdefault("base", {})
-                if isinstance(base, dict):  # run_sweep rejects any other base
-                    base["seed"] = args.seed
+            # run_sweep rejects a document without a mapping base
+            if args.seed is not None and isinstance(sweep_doc, dict) and isinstance(sweep_doc.get("base"), dict):
+                sweep_doc["base"]["seed"] = args.seed
             out_root = Path(args.out) if args.out else (
                 Path(os.environ.get(OUT_ROOT_ENV, "runs")) / f"{Path(args.config).stem}-sweep"
             )

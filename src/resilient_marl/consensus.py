@@ -236,7 +236,8 @@ class NoiseStrategy:
     seed: int = 0
 
     def message(self, agent, t: int, dim: int) -> np.ndarray:
-        rng = np.random.default_rng([self.seed, agent.agent_id, t])
+        # the stream of default_rng([seed, id, t]), without its argument dispatch
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([self.seed, agent.agent_id, t])))
         return self.scale * rng.standard_normal(dim)
 
 

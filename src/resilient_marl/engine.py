@@ -1,6 +1,8 @@
 """Synchronous-round orchestration of the adversary-aware actor-critic.
 
-``run`` returns the trajectory in memory and writes nothing. Each round
+``run`` opens no file: it keeps the trajectory in memory, or hands each
+metric row and trim event to a caller's sink the moment the run produces
+it (the CLI's sink streams them into trajectory.jsonl). Each round
 performs, in order: environment transition and reward observation (with
 the running-reward update), action selection at the new state, the
 TD/critic/advantage/actor updates, message exchange, and the trim-and-mix
@@ -176,22 +178,33 @@ class MetricsRow:
 class TrajectoryLog:
     """Append-only run record: metadata, metric rows, trim events.
 
-    ``run`` returns it in memory and writes nothing; ``final_params`` holds
-    the end-of-run parameter snapshot.
+    With no ``sink`` it keeps every row and trim event in memory. With a
+    sink, each row goes to ``sink.row(row)`` and each event to
+    ``sink.trim(t, agent, senders)`` as the run produces it, in round
+    order (the row of t completed rounds before the events of round t);
+    the log then keeps no event and only its first and latest row.
+    ``final_params`` holds the end-of-run parameter snapshot.
     """
 
     metadata: dict
     rows: list = field(default_factory=list)
     trim_events: list = field(default_factory=list)
     final_params: dict | None = None
+    sink: object = None
 
     def add_row(self, row: MetricsRow) -> None:
         if self.rows and row.t <= self.rows[-1].t:
             raise ValueError("metric rounds must be strictly increasing")
+        if self.sink is not None:
+            self.sink.row(row)
+            del self.rows[1:]
         self.rows.append(row)
 
     def add_trim_event(self, t: int, agent: int, senders) -> None:
-        self.trim_events.append((t, agent, tuple(senders)))
+        if self.sink is None:
+            self.trim_events.append((t, agent, tuple(senders)))
+        else:
+            self.sink.trim(t, agent, senders)
 
     @property
     def final_row(self) -> MetricsRow:
@@ -374,12 +387,14 @@ def _first_non_finite(state: NetworkState) -> int | None:
     return int(np.argmin(finite))
 
 
-def run(sim: Simulation) -> TrajectoryLog:
+def run(sim: Simulation, sink=None) -> TrajectoryLog:
     """Execute the full algorithm for sim.n_rounds synchronous rounds.
 
-    Deterministic in sim.seed. Raises NonFiniteParameterError the moment
-    any parameter stops being finite and SafetyViolationError if a
-    consensus output leaves its inputs' convex hull.
+    Deterministic in sim.seed. ``sink``, if given, receives the log's rows
+    and trim events while the run runs (see ``TrajectoryLog``). Raises
+    NonFiniteParameterError the moment any parameter stops being finite
+    and SafetyViolationError if a consensus output leaves its inputs'
+    convex hull.
     """
     mdp, g = sim.mdp, sim.graph
     n = mdp.n_agents
@@ -415,7 +430,8 @@ def run(sim: Simulation) -> TrajectoryLog:
             "rounds_executed": 0,
             "trim_f": f,
             "adversaries": sorted(g.adversary_set),
-        }
+        },
+        sink=sink,
     )
 
     s = sim.initial_state

@@ -417,7 +417,9 @@ class TestCliMain:
         assert main(["run", "--config", str(path), "--out", str(blocker / "out"), "--quiet"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("command, artifact", [("run", "summary.json"), ("sweep", "sweep_summary.json")])
+    @pytest.mark.parametrize("command, artifact", [
+        ("run", "summary.json"), ("sweep", "sweep_summary.json"), ("run", "trajectory.jsonl"),
+    ])
     def test_failed_artifact_write_exit_code(self, tmp_path, capsys, command, artifact):
         """Once the run is done, a failed artifact write is a runtime fault (exit 1)."""
         doc = dict(yaml.safe_load(MINIMAL), rounds=5)
@@ -429,6 +431,21 @@ class TestCliMain:
         (out / artifact).mkdir(parents=True)
         assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 1
         assert capsys.readouterr().err.startswith("runtime error: cannot write the ")
+
+    def test_failed_streamed_write_exit_code(self, tmp_path, capsys, monkeypatch):
+        """A write that fails while the run streams its trajectory is the same
+        runtime fault, and leaves no trajectory.jsonl."""
+        from resilient_marl import cli
+
+        def full_disk(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli._TrajectoryBody, "row", full_disk)
+        path = self.write_config(tmp_path, rounds=5)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("runtime error: cannot write the ")
+        assert list(out.iterdir()) == []
 
     def test_check_graph_subcommand(self, tmp_path, capsys):
         path = self.write_config(tmp_path)
@@ -523,6 +540,13 @@ class TestSweep:
         assert "<sweep>.base" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_sweep_seed_without_base_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "sweep.yaml"
+        path.write_text("runs:\n  - overrides: {}\n")
+        argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet", "--seed", "3"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: <sweep>: sweep document needs 'base' and 'runs'\n"
+
     @pytest.mark.parametrize("sweep, path", [
         ({"runs": [{"name": 5}]}, "<sweep>.runs[0].name"),
         ({"runs": [{"overrides": [1, 2]}]}, "<sweep>.runs[0].overrides"),
@@ -534,8 +558,10 @@ class TestSweep:
         ({"runs": [{"name": "../escaped"}]}, "<sweep>.runs[0].name"),
         ({"runs": [{"name": ".."}]}, "<sweep>.runs[0].name"),
         ({"runs": [{"name": ""}]}, "<sweep>.runs[0].name"),
+        ({"runs": [{}, {}, {"overrides": {"trim_f": -1}}]}, "<sweep>.runs[2]"),
     ], ids=["name_not_string", "overrides_not_mapping", "seed_string", "seed_bool", "run_key_typo",
-            "unknown_top_key", "duplicate_name", "name_escapes", "name_dotdot", "name_empty"])
+            "unknown_top_key", "duplicate_name", "name_escapes", "name_dotdot", "name_empty",
+            "bad_run_config"])
     def test_bad_sweep_rejected_before_any_run(self, tmp_path, capsys, sweep, path):
         """A malformed sweep, or one that would run with settings it does not state or
         write outside --out or over another run, exits 2 naming the field."""
@@ -556,3 +582,9 @@ class TestSweep:
                             tmp_path / "s", quiet=True)
         assert [r["seed"] for r in results] == [3]
         assert (tmp_path / "s" / "b" / "summary.json").exists()
+
+    def test_null_seed_override_takes_the_derived_seed(self, tmp_path):
+        base = dict(yaml.safe_load(MINIMAL), rounds=5, seed=10)
+        runs = [{"overrides": {}}, {"overrides": {"seed": None}}]
+        results = run_sweep({"base": base, "runs": runs}, tmp_path / "s", quiet=True)
+        assert [r["seed"] for r in results] == [10, 11]
