@@ -20,6 +20,12 @@ stop, a frozen actor on a constant schedule (the only echo that holds a
 constant schedule), and complete(9) at f=0 and at f=2 with two constant
 adversaries sending the same value, the only configs with a degree of 8
 or more).
+
+Every run shares this one process, one after another: each run frees
+its simulation before the next is built, so each builds its own model
+(``config.build_simulation`` shares tables only between live
+simulations). Those tables are read-only, so a run that wrote into one
+would raise here.
 """
 from __future__ import annotations
 

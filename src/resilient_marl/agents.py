@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,12 @@ def _row_numbers(shape: tuple[int, ...]) -> np.ndarray:
 
 
 class ProjectionJointFeatures:
-    """Seeded Gaussian random projection with dim < |S| * |A|."""
+    """Seeded Gaussian random projection with dim < |S| * |A|.
+
+    The (|S| * |A|, dim) table depends only on its shape and ``seed``, so
+    instances alive at the same time with the same three values hold the
+    same read-only array; it is freed with the last of them.
+    """
 
     def __init__(self, n_states: int, n_joint_actions: int, dim: int, seed: int = 0):
         if dim < 1:
@@ -93,8 +99,7 @@ class ProjectionJointFeatures:
         self.n_states = n_states
         self.n_joint_actions = n_joint_actions
         self.dim = dim
-        rng = np.random.default_rng(seed)
-        self._rows = rng.standard_normal((n_states * n_joint_actions, dim)) / np.sqrt(dim)
+        self._rows = _projection_table(n_states * n_joint_actions, dim, seed)
 
     def index(self, s: int, a: int) -> int:
         return s * self.n_joint_actions + a
@@ -106,6 +111,21 @@ class ProjectionJointFeatures:
         """Q(s, a) = features(s, a) dot omega, stacked as ``TabularJointFeatures.q``."""
         rows = self._rows[self.index(s, a)]
         return np.vecdot(rows, omega if np.ndim(a) == 0 else omega[..., None, :])
+
+
+def _projection_table(n_rows: int, dim: int, seed: int) -> np.ndarray:
+    """Read-only ``default_rng(seed).standard_normal((n_rows, dim)) / sqrt(dim)``."""
+    key = (n_rows, dim, seed)
+    table = _live_projection_tables.get(key)
+    if table is None:
+        table = np.random.default_rng(seed).standard_normal((n_rows, dim)) / np.sqrt(dim)
+        table.flags.writeable = False
+        _live_projection_tables[key] = table
+    return table
+
+
+# tables that a live feature map still holds; a table is freed with its last holder
+_live_projection_tables: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @dataclass

@@ -27,6 +27,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from resilient_marl.config import (
@@ -160,23 +161,28 @@ def run_experiment(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> dict:
 def check_graph(cfg: ExperimentConfig) -> dict:
     """Topology diagnostics: connectivity, degrees, locality, robustness.
 
+    Connectivity is reported per phase; the degree statistics and the
+    adversary-neighbour fraction are taken over every node of every phase.
+
     Never rejects a non-F-local placement; it reports it, so misconfigured
     setups can be inspected before a run.
     """
     g = resolve_graph(cfg, enforce_f_local=False)
+    phases = range(g.n_phases)
+    degrees = np.stack([g.degrees(p) for p in phases])
     report = {
         "n_nodes": g.n_nodes,
         "n_phases": g.n_phases,
-        "connected": [bool(g.is_connected(p)) for p in range(g.n_phases)],
+        "connected": [bool(g.is_connected(p)) for p in phases],
         "degrees": {
-            "min": int(g.degrees(0).min()),
-            "mean": float(g.degrees(0).mean()),
-            "max": int(g.degrees(0).max()),
+            "min": int(degrees.min()),
+            "mean": float(degrees.mean()),
+            "max": int(degrees.max()),
         },
         "adversaries": sorted(g.adversary_set),
         "trim_f": g.trim_f,
         "f_local": is_r_local(g, g.adversary_set, g.trim_f),
-        "adversary_fraction_max": float(adversary_fractions(g).max()),
+        "adversary_fraction_max": max(float(adversary_fractions(g, p).max()) for p in phases),
     }
     if g.static and g.n_nodes <= 16:
         report["max_r_robust"] = max_r_robustness(g)
@@ -196,7 +202,7 @@ def _print_graph_report(report):
     print(f"degrees: min {deg['min']} / mean {deg['mean']:.2f} / max {deg['max']}")
     print(f"adversaries: {report['adversaries']} (trim_f={report['trim_f']})")
     print(f"f_local: {report['f_local']}")
-    print(f"adversary neighbor fraction (max over regular nodes): "
+    print(f"adversary neighbor fraction (max over regular nodes and phases): "
           f"{report['adversary_fraction_max']:.3f}")
     if report["max_r_robust"] is None:
         print(f"r-robustness: skipped ({report['robustness_skipped']})")

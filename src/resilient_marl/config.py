@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -24,9 +25,14 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
-from resilient_marl.agents import ProjectionJointFeatures, TabularJointFeatures
 from resilient_marl.consensus import STRATEGY_NAMES
-from resilient_marl.engine import EarlyStop, Simulation, StepSizeSchedule
+from resilient_marl.engine import (
+    EarlyStop,
+    Simulation,
+    StepSizeSchedule,
+    projection_features,
+    tabular_features,
+)
 from resilient_marl.graphs import GraphSchedule, is_r_local, place_adversaries
 from resilient_marl.mdp import Mdp, generate_random_mdp
 
@@ -487,13 +493,19 @@ def _build_mdp(cfg: ExperimentConfig) -> Mdp:
     acts = spec.actions_per_agent
     if len(acts) == 1:
         acts = acts[0]
-    return generate_random_mdp(
-        cfg.n_agents,
-        spec.n_states,
-        acts,
-        spec.reward_range,
-        seed=cfg.seed if spec.seed is None else spec.seed,
-    )
+    seed = cfg.seed if spec.seed is None else spec.seed
+    key = (cfg.n_agents, spec.n_states, acts, spec.reward_range, seed)
+    mdp = _live_random_mdps.get(key)
+    if mdp is None:
+        mdp = generate_random_mdp(*key[:4], seed=seed)
+        mdp.transition.flags.writeable = False
+        mdp.rewards.flags.writeable = False
+        _live_random_mdps[key] = mdp
+    return mdp
+
+
+# generated models that a live simulation still holds; a model is freed with its last holder
+_live_random_mdps: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _build_graph(cfg: ExperimentConfig, enforce_connected: bool = True) -> GraphSchedule:
@@ -542,7 +554,17 @@ def resolve_graph(cfg: ExperimentConfig, enforce_f_local: bool = True) -> GraphS
 
 
 def build_simulation(cfg: ExperimentConfig) -> Simulation:
-    """Materialize the config: MDP, graph, adversary placement, features."""
+    """Materialize the config: MDP, graph, adversary placement, features.
+
+    The seed-independent tables are shared read-only between the live
+    simulations of a process: a generated (``kind: random``) MDP by its
+    sizes, reward range and resolved seed, and a projection table by its
+    shape and feature seed. A build that differs from a live one in
+    ``seed`` alone, or in a section the tables do not read, holds the same
+    arrays; once no simulation holds a table it is freed, and the next
+    build makes it again. A ``kind: file`` MDP is read again on every
+    build, since the file can change.
+    """
     mdp = _build_mdp(cfg)
     graph = resolve_graph(cfg, enforce_f_local=True)
     strategies = {}
@@ -550,11 +572,9 @@ def build_simulation(cfg: ExperimentConfig) -> Simulation:
         strategy = STRATEGY_NAMES[cfg.adversaries.strategy](**cfg.adversaries.params_dict())
         strategies = {i: strategy for i in graph.adversary_set}
     if cfg.features.kind == "tabular":
-        features = TabularJointFeatures(mdp.n_states, mdp.n_joint_actions)
+        features = tabular_features(mdp)
     else:
-        features = ProjectionJointFeatures(
-            mdp.n_states, mdp.n_joint_actions, cfg.features.dim, cfg.features.seed
-        )
+        features = projection_features(mdp, cfg.features.dim, cfg.features.seed)
     return Simulation(
         mdp=mdp,
         graph=graph,

@@ -238,10 +238,12 @@ class Simulation:
 
 
 def tabular_features(mdp: Mdp) -> TabularJointFeatures:
+    """One-hot critic features over the MDP's (state, joint action) pairs."""
     return TabularJointFeatures(mdp.n_states, mdp.n_joint_actions)
 
 
 def projection_features(mdp: Mdp, dim: int, seed: int = 0) -> ProjectionJointFeatures:
+    """Projection critic features for the MDP; the table is shared read-only per process."""
     return ProjectionJointFeatures(mdp.n_states, mdp.n_joint_actions, dim, seed)
 
 

@@ -62,6 +62,11 @@ class Mdp:
     transition[s, a] is a probability vector. rewards has shape
     (n_agents, n_states, n_joint_actions) and holds each agent's private
     reward table.
+
+    ``build_simulation`` shares a generated model between the live
+    simulations of one process that ask for the same one; that model's
+    ``transition`` and ``rewards`` are read-only. ``transition_cdf`` is
+    always read-only.
     """
 
     n_agents: int
@@ -97,8 +102,10 @@ class Mdp:
 
     @functools.cached_property
     def transition_cdf(self) -> np.ndarray:
-        """Cumulative P(.|s, a) rows, built once for sample_transition."""
-        return np.cumsum(self.transition, axis=-1)
+        """Cumulative P(.|s, a) rows, built once for sample_transition; read-only."""
+        cdf = np.cumsum(self.transition, axis=-1)
+        cdf.flags.writeable = False
+        return cdf
 
     @property
     def n_joint_actions(self) -> int:

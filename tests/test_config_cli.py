@@ -1,4 +1,7 @@
+import gc
 import json
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +265,101 @@ class TestBuildSimulation:
             build_simulation(config_from_dict(cfg_doc))
 
 
+class TestSharedTables:
+    """Seed-independent model tables are built once per process and shared read-only."""
+
+    def projection_config(self, features=(), **overrides):
+        features = {"kind": "projection", "dim": 4, "seed": 0, **dict(features)}
+        return small_config(features=features, **overrides)
+
+    def test_builds_share_table_and_mdp(self):
+        cfg = self.projection_config()
+        a, b = build_simulation(cfg), build_simulation(cfg)
+        assert a.mdp is b.mdp
+        assert a.features._rows is b.features._rows
+        # runs that differ only in seed or in a section the tables do not read share them too
+        c = build_simulation(self.projection_config(seed=9, mdp={"seed": 0}, trim_f=1))
+        d = build_simulation(self.projection_config(seed=4, mdp={"seed": 0}))
+        assert c.mdp is d.mdp and c.features._rows is a.features._rows
+
+    def test_shared_tables_are_read_only(self):
+        a = build_simulation(self.projection_config())
+        b = build_simulation(self.projection_config())
+        for table in (a.features._rows, a.mdp.transition, a.mdp.rewards, a.mdp.transition_cdf):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0
+        assert np.array_equal(a.mdp.transition, b.mdp.transition)
+
+    def test_table_bits_unchanged(self):
+        sim = build_simulation(self.projection_config(features={"dim": 5, "seed": 11}))
+        n_rows = sim.mdp.n_states * sim.mdp.n_joint_actions
+        expected = np.random.default_rng(11).standard_normal((n_rows, 5)) / np.sqrt(5)
+        assert sim.features._rows.tobytes() == expected.tobytes()
+
+    def test_other_sections_get_their_own_tables(self):
+        base = build_simulation(self.projection_config())
+        other_dim = build_simulation(self.projection_config(features={"dim": 5}))
+        other_seed = build_simulation(self.projection_config(features={"seed": 1}))
+        other_mdp = build_simulation(self.projection_config(mdp={"n_states": 4}))
+        tables = [sim.features._rows for sim in (base, other_dim, other_seed, other_mdp)]
+        assert len({id(t) for t in tables}) == 4
+        assert other_dim.features._rows.shape == (24, 5)
+        assert not np.array_equal(base.features._rows, other_seed.features._rows)
+        assert other_mdp.mdp is not base.mdp and other_mdp.features._rows.shape == (32, 4)
+        # the MDP is keyed by its resolved seed; the table by shape and feature seed alone
+        other_model = build_simulation(self.projection_config(seed=1))
+        assert other_model.mdp is not base.mdp
+        assert not np.array_equal(other_model.mdp.transition, base.mdp.transition)
+        assert other_model.features._rows is base.features._rows
+
+    def test_tables_are_freed_with_their_last_simulation(self):
+        # nothing keeps a model alive after its runs: a sweep over distinct
+        # models holds one at a time
+        sim = build_simulation(self.projection_config(features={"seed": 21}, mdp={"seed": 2024}))
+        refs = [weakref.ref(sim.mdp), weakref.ref(sim.features._rows)]
+        del sim
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_file_mdp_is_read_again(self, tmp_path):
+        path = tmp_path / "model.json"
+        doc = yaml.safe_load(MINIMAL)
+        doc["mdp"] = {"kind": "file", "path": str(path)}
+        cfg = config_from_dict(doc)
+        generate_random_mdp(3, 3, 2, (0.0, 1.0), seed=3).save(path)
+        first = build_simulation(cfg)
+        changed = generate_random_mdp(3, 3, 2, (0.0, 1.0), seed=4)
+        changed.save(path)
+        second = build_simulation(cfg)
+        assert second.mdp is not first.mdp
+        assert np.array_equal(second.mdp.transition, changed.transition)
+        assert not np.array_equal(second.mdp.transition, first.mdp.transition)
+
+    def test_second_build_allocates_no_tables(self):
+        # the projection_periodic workload's shape: 8 agents, 8 states, 256
+        # joint actions and a dim-128 table (2 MB), the model another 0.4 MB
+        cfg = small_config(
+            n_agents=8,
+            mdp={"n_states": 8, "seed": 7},
+            trim_f=1,
+            features={"kind": "projection", "dim": 128, "seed": 3},
+            adversaries={"ids": [7], "strategy": "noise", "params": {"scale": 5.0, "seed": 1}},
+            graph={"topology": "edges", "phases": [
+                [[i, (i + 1) % 8] for i in range(8)] + [[i, i + 4] for i in range(4)],
+                [[i, (i + 2) % 8] for i in range(8)] + [[i, (i + 3) % 8] for i in range(8)],
+            ]},
+        )
+        first = build_simulation(cfg)
+        tracemalloc.start()
+        try:
+            second = build_simulation(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, peak
+        assert second.features._rows is first.features._rows
+
+
 class TestRunExperiment:
     def test_artifacts_written_and_parse_back(self, tmp_path):
         cfg = small_config(rounds=40, log_interval=20)
@@ -305,6 +403,22 @@ class TestCheckGraph:
         doc["graph"] = {"topology": "edges", "edges": [[0, 1], [1, 2], [2, 3]]}
         report = check_graph(config_from_dict(doc))
         assert report["max_r_robust"] == 1  # 2-robust is false for a path
+
+    def test_degrees_and_fraction_cover_every_phase(self):
+        # phase 0 is a ring (degree 2, fraction 1/2 next to adversary 4);
+        # in phase 1 adversary 4 has degree 4 and is node 3's only neighbour
+        report = check_graph(small_config(
+            n_agents=5,
+            trim_f=1,
+            adversaries={"ids": [4], "strategy": "selfish"},
+            graph={"topology": "edges", "phases": [
+                [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]],
+                [[4, 0], [4, 1], [4, 2], [4, 3], [0, 1], [1, 2]],
+            ]},
+        ))
+        assert report["connected"] == [True, True]
+        assert report["degrees"] == {"min": 1, "mean": 2.2, "max": 4}
+        assert report["adversary_fraction_max"] == 1.0
 
     def test_disconnected_reported_not_rejected(self):
         doc = yaml.safe_load(MINIMAL)

@@ -1,15 +1,19 @@
 """Whole-algorithm property test: the engine against the straight-line reference.
 
 Hypothesis draws small networks (n <= 5, S <= 4, action counts 2-4), a
-ring, complete, star or two-phase graph, a trim parameter f in {0, 1, 2},
-up to two adversaries with any of the four strategies, reward noise and a
-tabular or projection critic, and runs 10 to 40 rounds. Every round's
-parameters must be bitwise the reference's and the trim events equal.
+ring, complete, star, explicit-edge or two-phase graph, a trim parameter
+f in {0, 1, 2}, up to two adversaries with any of the four strategies,
+reward noise and a tabular or projection critic, and runs 10 to 40
+rounds. Every round's parameters must be bitwise the reference's and the
+trim events equal.
 
 Two properties need no reference. Where every regular agent has at most f
 adversarial neighbours, the run checks the W-MSR guarantee: each regular
 critic's mix stays within the hull of its own and its regular neighbours'
-values, or the run raises. Every agent's average-reward tracker stays
+values, or the run raises. A share of the draws aims at that check: f=1,
+one adversary, and a regular agent of degree 3 or more that hears it, so
+trimming keeps values and the mix can move (complete(n), or explicit
+edges from a regular hub). Every agent's average-reward tracker stays
 within the reward range widened by the noise scale.
 """
 import itertools
@@ -46,26 +50,56 @@ def _adversary(draw, seeds):
     return SelfishStrategy(), ("selfish",)
 
 
+def _pairs(n):
+    return list(itertools.combinations(range(n), 2))
+
+
+@st.composite
+def _graph(draw, n, adversary_ids, f):
+    """A named topology, one explicit edge list or a two-phase schedule."""
+    kw = dict(adversary_set=set(adversary_ids), trim_f=f)
+    topology = draw(st.sampled_from(["ring", "complete", "star", "edges", "two_phase"]))
+    if topology in ("edges", "two_phase"):
+        edges = st.lists(st.sampled_from(_pairs(n)), min_size=1, unique=True)
+        phases = [draw(edges) for _ in range(1 if topology == "edges" else 2)]
+        return GraphSchedule.periodic(n, phases, **kw)
+    return getattr(GraphSchedule, topology)(n, **kw)
+
+
+@st.composite
+def _guarded_graph(draw, n, adversary):
+    """f=1 and a regular agent of degree >= 3 next to the lone adversary.
+
+    Complete(n), or explicit edges from a regular hub to the adversary and
+    two or more other agents, plus any further edges.
+    """
+    kw = dict(adversary_set={adversary}, trim_f=1)
+    if draw(st.booleans()):
+        return GraphSchedule.complete(n, **kw)
+    hub = draw(st.sampled_from([i for i in range(n) if i != adversary]))
+    others = [i for i in range(n) if i not in (hub, adversary)]
+    spokes = draw(st.lists(st.sampled_from(others), min_size=2, unique=True))
+    extra = draw(st.lists(st.sampled_from(_pairs(n)), unique=True))
+    return GraphSchedule.from_edges(n, [(hub, j) for j in [adversary, *spokes]] + extra, **kw)
+
+
 @st.composite
 def _case(draw):
     """(simulation, run_reference keyword arguments)."""
     seeds = st.integers(0, 2**16)
-    n = draw(st.sampled_from([2, 3, 4, 5]))
+    guarded = draw(st.integers(0, 2)) == 0
+    n = draw(st.sampled_from([4, 5] if guarded else [2, 3, 4, 5]))
     n_states = draw(st.integers(2, 4))
     counts = draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))
     mdp = generate_random_mdp(n, n_states, counts, REWARD_RANGE, seed=draw(seeds))
 
-    adversary_ids = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
-    adversaries = {i: draw(_adversary(seeds)) for i in adversary_ids}
-    f = draw(st.integers(0, 2))
-    kw = dict(adversary_set=set(adversaries), trim_f=f)
-    topology = draw(st.sampled_from(["ring", "complete", "star", "two_phase"]))
-    if topology == "two_phase":
-        pairs = list(itertools.combinations(range(n), 2))
-        phases = [draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)) for _ in range(2)]
-        graph = GraphSchedule.periodic(n, phases, **kw)
+    if guarded:
+        adversary_ids, f = [draw(st.integers(0, n - 1))], 1
     else:
-        graph = getattr(GraphSchedule, topology)(n, **kw)
+        adversary_ids = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+        f = draw(st.integers(0, 2))
+    adversaries = {i: draw(_adversary(seeds)) for i in adversary_ids}
+    graph = draw(_guarded_graph(n, adversary_ids[0]) if guarded else _graph(n, adversary_ids, f))
 
     projection = draw(st.booleans())
     if projection:
