@@ -43,7 +43,7 @@ k5 = GraphSchedule.complete(5)
 print(f"\ncomplete(5) is 3-robust: {is_r_robust(k5, 3)} "
       "(enough to trim one adversary per neighborhood)")
 
-ring = GraphSchedule.ring(6, adversary_set={0})
+ring = GraphSchedule.ring(6)
 print(f"one adversary on ring(6) is 1-local: {is_r_local(ring, {0}, 1)}")
 print("fraction of adversarial neighbors per node:",
-      adversary_fractions(ring).round(2).tolist())
+      adversary_fractions(ring, {0}).round(2).tolist())

@@ -18,7 +18,7 @@ mdp = generate_random_mdp(n_agents=5, n_states=8, actions_per_agent=2,
                           reward_range=(0.0, 4.0), seed=11)
 sim = Simulation(
     mdp=mdp,
-    graph=GraphSchedule.ring(5, adversary_set={0}, trim_f=0),
+    graph=GraphSchedule.ring(5),
     features=tabular_features(mdp),
     critic_schedule=StepSizeSchedule.polynomial(1.0, 0.65),
     actor_schedule=StepSizeSchedule.polynomial(1.0, 0.85),
@@ -26,6 +26,7 @@ sim = Simulation(
     seed=0,
     strategies={0: ConstantStrategy(BROADCAST)},
     log_interval=4000,
+    trim_f=0,
 )
 log = run(sim)
 

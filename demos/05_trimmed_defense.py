@@ -15,8 +15,8 @@ from resilient_marl.mdp import generate_random_mdp
 
 BROADCAST = 100.0
 
-graph = GraphSchedule.complete(5, adversary_set={4}, trim_f=1)
-print(f"complete(5) is 3-robust: {is_r_robust(GraphSchedule.complete(5), 3)}")
+graph = GraphSchedule.complete(5)
+print(f"complete(5) is 3-robust: {is_r_robust(graph, 3)}")
 
 mdp = generate_random_mdp(n_agents=5, n_states=8, actions_per_agent=2,
                           reward_range=(0.0, 4.0), seed=11)
@@ -31,6 +31,7 @@ sim = Simulation(
     strategies={4: ConstantStrategy(BROADCAST)},
     log_interval=4000,
     check_regular_hull=True,  # raises if any update leaves the regular span
+    trim_f=1,
 )
 log = run(sim)
 

@@ -167,7 +167,7 @@ def check_graph(cfg: ExperimentConfig) -> dict:
     Never rejects a non-F-local placement; it reports it, so misconfigured
     setups can be inspected before a run.
     """
-    g = resolve_graph(cfg, enforce_f_local=False)
+    g, adversaries = resolve_graph(cfg, enforce_f_local=False)
     phases = range(g.n_phases)
     degrees = np.stack([g.degrees(p) for p in phases])
     report = {
@@ -179,10 +179,10 @@ def check_graph(cfg: ExperimentConfig) -> dict:
             "mean": float(degrees.mean()),
             "max": int(degrees.max()),
         },
-        "adversaries": sorted(g.adversary_set),
-        "trim_f": g.trim_f,
-        "f_local": is_r_local(g, g.adversary_set, g.trim_f),
-        "adversary_fraction_max": max(float(adversary_fractions(g, p).max()) for p in phases),
+        "adversaries": sorted(adversaries),
+        "trim_f": cfg.trim_f,
+        "f_local": is_r_local(g, adversaries, cfg.trim_f),
+        "adversary_fraction_max": max(float(adversary_fractions(g, adversaries, p).max()) for p in phases),
     }
     if g.static and g.n_nodes <= 16:
         report["max_r_robust"] = max_r_robustness(g)

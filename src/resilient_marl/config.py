@@ -521,8 +521,8 @@ def _build_graph(cfg: ExperimentConfig, enforce_connected: bool = True) -> Graph
     return g
 
 
-def resolve_graph(cfg: ExperimentConfig, enforce_f_local: bool = True) -> GraphSchedule:
-    """Build the graph and resolve the adversary placement.
+def resolve_graph(cfg: ExperimentConfig, enforce_f_local: bool = True) -> tuple[GraphSchedule, frozenset]:
+    """Build the graph and resolve the adversary placement: ``(graph, adversary ids)``.
 
     Random placement draws from a stream seeded with (master seed, 1),
     keeping it independent of the simulation stream. With
@@ -550,7 +550,7 @@ def resolve_graph(cfg: ExperimentConfig, enforce_f_local: bool = True) -> GraphS
             adversary_ids = place_adversaries(
                 graph, spec.count, cfg.trim_f if spec.enforce_f_local else None, placement_rng
             )
-    return graph.with_adversaries(adversary_ids, trim_f=cfg.trim_f)
+    return graph, adversary_ids
 
 
 def build_simulation(cfg: ExperimentConfig) -> Simulation:
@@ -566,11 +566,11 @@ def build_simulation(cfg: ExperimentConfig) -> Simulation:
     build, since the file can change.
     """
     mdp = _build_mdp(cfg)
-    graph = resolve_graph(cfg, enforce_f_local=True)
+    graph, adversary_ids = resolve_graph(cfg, enforce_f_local=True)
     strategies = {}
-    if cfg.adversaries is not None and graph.adversary_set:
+    if adversary_ids:
         strategy = STRATEGY_NAMES[cfg.adversaries.strategy](**cfg.adversaries.params_dict())
-        strategies = {i: strategy for i in graph.adversary_set}
+        strategies = {i: strategy for i in adversary_ids}
     if cfg.features.kind == "tabular":
         features = tabular_features(mdp)
     else:
@@ -592,4 +592,5 @@ def build_simulation(cfg: ExperimentConfig) -> Simulation:
         initial_state=cfg.initial_state,
         early_stop=cfg.early_stop,
         enforce_f_local=bool(cfg.adversaries and cfg.adversaries.enforce_f_local),
+        trim_f=cfg.trim_f,
     )

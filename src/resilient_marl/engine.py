@@ -215,8 +215,12 @@ class TrajectoryLog:
 class Simulation:
     """Fully materialized run description handed to :func:`run`.
 
-    ``strategies`` maps adversarial agent ids to their message strategies
-    and must agree with the graph's adversary set.
+    ``graph`` is the topology only. The keys of ``strategies`` are the
+    adversarial agents, each mapped to its message strategy; every other
+    agent is regular. ``trim_f`` is the trim parameter F: each regular
+    agent drops the F highest and F lowest received values per coordinate.
+    With ``enforce_f_local`` the run rejects an adversary set that is not
+    F-local in the graph.
     """
 
     mdp: Mdp
@@ -235,6 +239,7 @@ class Simulation:
     initial_state: int = 0
     early_stop: EarlyStop | None = None
     enforce_f_local: bool = False
+    trim_f: int = 0
 
 
 def tabular_features(mdp: Mdp) -> TabularJointFeatures:
@@ -332,10 +337,9 @@ class _ReceiverGroup:
     weights: MixingWeights | None
 
 
-def _receiver_groups(g: GraphSchedule) -> list[list[_ReceiverGroup]]:
-    """Per phase, the regular agents with neighbours, grouped by degree."""
-    regular = [i for i in range(g.n_nodes) if i not in g.adversary_set]
-    f = g.trim_f
+def _receiver_groups(g: GraphSchedule, adversaries, f: int) -> list[list[_ReceiverGroup]]:
+    """Per phase, the agents not in ``adversaries`` that have neighbours, grouped by degree."""
+    regular = [i for i in range(g.n_nodes) if i not in adversaries]
     phases = []
     for p in range(g.n_phases):
         deg = g.degrees(p)
@@ -344,7 +348,7 @@ def _receiver_groups(g: GraphSchedule) -> list[list[_ReceiverGroup]]:
             ids = np.array([i for i in regular if deg[i] == k])
             nbr = np.array([g.neighbors(int(i), p) for i in ids])
             pair_w = np.array([[metropolis_pair_weight(k, int(deg[j])) for j in row] for row in nbr])
-            is_regular = ~np.isin(nbr, list(g.adversary_set))
+            is_regular = ~np.isin(nbr, list(adversaries))
             weights = None
             if f == 0 or k <= 2 * f:
                 weights = mixing_weights(pair_w, np.full(pair_w.shape + (1,), f == 0))
@@ -394,23 +398,28 @@ def run(sim: Simulation, sink=None) -> TrajectoryLog:
 
     Deterministic in sim.seed. ``sink``, if given, receives the log's rows
     and trim events while the run runs (see ``TrajectoryLog``). Raises
-    NonFiniteParameterError the moment any parameter stops being finite
-    and SafetyViolationError if a consensus output leaves its inputs'
-    convex hull.
+    ValueError before round 0 on a description it cannot run (a graph
+    that does not match the MDP, a strategy id outside [0, n), a negative
+    trim_f, ...), NonFiniteParameterError the moment any parameter stops
+    being finite and SafetyViolationError if a consensus output leaves its
+    inputs' convex hull.
     """
-    mdp, g = sim.mdp, sim.graph
+    mdp, g, f = sim.mdp, sim.graph, sim.trim_f
     n = mdp.n_agents
     if g.n_nodes != n:
         raise ValueError(f"graph has {g.n_nodes} nodes but the MDP has {n} agents")
-    if set(sim.strategies) != set(g.adversary_set):
-        raise ValueError("strategy map must cover exactly the graph's adversary set")
+    if not set(sim.strategies) <= set(range(n)):
+        raise ValueError(f"strategy ids must lie in [0, {n})")
+    if f < 0:
+        raise ValueError("trim_f must be nonnegative")
     if sim.n_rounds < 0:
         raise ValueError("n_rounds must be nonnegative")
     if not (0 <= sim.initial_state < mdp.n_states):
         raise ValueError("initial state out of range")
     if not 0.0 <= sim.critic_schedule.at(0) <= 1.0:
         raise ValueError("critic step size must start within [0, 1]")
-    if sim.enforce_f_local and not is_r_local(g, g.adversary_set, g.trim_f):
+    adversaries = sorted(sim.strategies)
+    if sim.enforce_f_local and not is_r_local(g, adversaries, f):
         raise ValueError("declared adversary set is not F-local for the configured trim")
     # ergodicity precheck; raises NonErgodicChainError on a bad model
     stationary_distribution(induced_chain(mdp, JointPolicy.uniform(mdp)))
@@ -419,10 +428,8 @@ def run(sim: Simulation, sink=None) -> TrajectoryLog:
     counts = mdp.action_counts
     block_radix = [joint_action_radix(counts)[ids] for ids, _ in state.blocks]
     feats = sim.features
-    f = g.trim_f
     dim = feats.dim
-    phase_groups = _receiver_groups(g)
-    adversaries = sorted(sim.strategies)
+    phase_groups = _receiver_groups(g, adversaries, f)
 
     rng = np.random.default_rng(np.random.SeedSequence(sim.seed))
     log = TrajectoryLog(
@@ -431,7 +438,7 @@ def run(sim: Simulation, sink=None) -> TrajectoryLog:
             "rounds_requested": sim.n_rounds,
             "rounds_executed": 0,
             "trim_f": f,
-            "adversaries": sorted(g.adversary_set),
+            "adversaries": adversaries,
         },
         sink=sink,
     )

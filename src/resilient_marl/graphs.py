@@ -38,14 +38,13 @@ class GraphSchedule:
     """Periodic communication schedule over a fixed node set.
 
     phases holds one undirected edge set per phase; a static graph is a
-    single phase. The adversary set and the trim parameter used by the
-    consensus step are carried as annotations.
+    single phase. The schedule is topology only: which agents are
+    adversarial and the trim parameter belong to the run
+    (``Simulation.strategies`` and ``Simulation.trim_f``).
     """
 
     n_nodes: int
     phases: tuple[frozenset, ...]
-    adversary_set: frozenset = frozenset()
-    trim_f: int = 0
     _adjacency: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
@@ -55,12 +54,6 @@ class GraphSchedule:
             raise GraphError("schedule needs at least one phase")
         phases = tuple(_normalize_edges(self.n_nodes, p) for p in self.phases)
         object.__setattr__(self, "phases", phases)
-        advs = frozenset(int(i) for i in self.adversary_set)
-        if any(i < 0 or i >= self.n_nodes for i in advs):
-            raise GraphError("adversary ids out of range")
-        object.__setattr__(self, "adversary_set", advs)
-        if self.trim_f < 0:
-            raise GraphError("trim parameter must be nonnegative")
         adjacency = []
         for p in phases:
             nbrs = [[] for _ in range(self.n_nodes)]
@@ -73,33 +66,33 @@ class GraphSchedule:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def ring(cls, n, **kw):
-        return cls(n, (tuple((i, (i + 1) % n) for i in range(n)),), **kw)
+    def ring(cls, n):
+        return cls(n, (tuple((i, (i + 1) % n) for i in range(n)),))
 
     @classmethod
-    def star(cls, n, **kw):
-        return cls(n, (tuple((0, i) for i in range(1, n)),), **kw)
+    def star(cls, n):
+        return cls(n, (tuple((0, i) for i in range(1, n)),))
 
     @classmethod
-    def complete(cls, n, **kw):
+    def complete(cls, n):
         edges = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-        return cls(n, (edges,), **kw)
+        return cls(n, (edges,))
 
     @classmethod
-    def erdos_renyi(cls, n, p, seed, **kw):
+    def erdos_renyi(cls, n, p, seed):
         rng = np.random.default_rng(seed)
         edges = tuple(
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
         )
-        return cls(n, (edges,), **kw)
+        return cls(n, (edges,))
 
     @classmethod
-    def from_edges(cls, n, edges, **kw):
-        return cls(n, (tuple(edges),), **kw)
+    def from_edges(cls, n, edges):
+        return cls(n, (tuple(edges),))
 
     @classmethod
-    def periodic(cls, n, edge_lists, **kw):
-        return cls(n, tuple(tuple(e) for e in edge_lists), **kw)
+    def periodic(cls, n, edge_lists):
+        return cls(n, tuple(tuple(e) for e in edge_lists))
 
     # -- queries ------------------------------------------------------
 
@@ -131,14 +124,6 @@ class GraphSchedule:
                     seen.add(v)
                     stack.append(v)
         return len(seen) == self.n_nodes
-
-    def with_adversaries(self, adversaries, trim_f=None) -> "GraphSchedule":
-        return GraphSchedule(
-            self.n_nodes,
-            self.phases,
-            frozenset(adversaries),
-            self.trim_f if trim_f is None else trim_f,
-        )
 
 
 def neighborhood(g: GraphSchedule, i: int, t: int = 0) -> frozenset:
@@ -299,17 +284,17 @@ def max_r_robustness(g: GraphSchedule) -> int:
     return r
 
 
-def adversary_fractions(g: GraphSchedule, t: int = 0) -> np.ndarray:
-    """Per-node fraction of adversarial neighbors (NaN-free; isolated -> 0).
+def adversary_fractions(g: GraphSchedule, adversaries, t: int = 0) -> np.ndarray:
+    """Per-node fraction of neighbors in ``adversaries`` (NaN-free; isolated -> 0).
 
     Diagnostic only: the trim parameter, not this fraction, drives the
     consensus step. Adversarial nodes report 0.
     """
     out = np.zeros(g.n_nodes)
     for i in range(g.n_nodes):
-        if i in g.adversary_set:
+        if i in adversaries:
             continue
         nbrs = g.neighbors(i, t)
         if nbrs:
-            out[i] = sum(1 for j in nbrs if j in g.adversary_set) / len(nbrs)
+            out[i] = sum(1 for j in nbrs if j in adversaries) / len(nbrs)
     return out

@@ -244,8 +244,8 @@ class TestBuildSimulation:
             trim_f=1,
             adversaries={"count": 1, "strategy": "constant", "params": {"value": 2.0}},
         )
-        a = build_simulation(cfg).graph.adversary_set
-        b = build_simulation(cfg).graph.adversary_set
+        a = set(build_simulation(cfg).strategies)
+        b = set(build_simulation(cfg).strategies)
         assert a == b and len(a) == 1
 
     def test_non_local_explicit_ids_rejected(self):

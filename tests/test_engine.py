@@ -101,8 +101,12 @@ class TestRunBasics:
         mdp = generate_random_mdp(2, 3, 2, (0.0, 1.0), seed=0)
         with pytest.raises(ValueError, match="nodes"):
             run(make_sim(mdp, GraphSchedule.ring(3), 10))
-        with pytest.raises(ValueError, match="strategy map"):
-            run(make_sim(mdp, GraphSchedule.ring(2, adversary_set={0}), 10))
+        with pytest.raises(ValueError, match=r"strategy ids must lie in \[0, 2\)"):
+            run(make_sim(mdp, GraphSchedule.ring(2), 10, strategies={2: ConstantStrategy(1.0)}))
+        with pytest.raises(ValueError, match="strategy ids"):
+            run(make_sim(mdp, GraphSchedule.ring(2), 10, strategies={-1: ConstantStrategy(1.0)}))
+        with pytest.raises(ValueError, match="trim_f must be nonnegative"):
+            run(make_sim(mdp, GraphSchedule.ring(2), 10, trim_f=-1))
         with pytest.raises(ValueError, match="initial state"):
             run(make_sim(mdp, GraphSchedule.ring(2), 10, initial_state=7))
         with pytest.raises(ValueError, match="critic step"):
@@ -111,8 +115,7 @@ class TestRunBasics:
 
     def test_enforce_f_local(self):
         mdp = generate_random_mdp(4, 3, 2, (0.0, 1.0), seed=0)
-        g = GraphSchedule.complete(4, adversary_set={0, 1}, trim_f=1)
-        sim = make_sim(mdp, g, 10, enforce_f_local=True,
+        sim = make_sim(mdp, GraphSchedule.complete(4), 10, enforce_f_local=True, trim_f=1,
                        strategies={0: ConstantStrategy(1.0), 1: ConstantStrategy(1.0)})
         with pytest.raises(ValueError, match="F-local"):
             run(sim)
@@ -126,32 +129,30 @@ class TestRunBasics:
 
     def test_non_finite_payload_detected(self):
         mdp = generate_random_mdp(3, 3, 2, (0.0, 1.0), seed=3)
-        g = GraphSchedule.ring(3, adversary_set={0}, trim_f=0)
-        sim = make_sim(mdp, g, 50, strategies={0: ConstantStrategy(math.inf)})
+        sim = make_sim(mdp, GraphSchedule.ring(3), 50, strategies={0: ConstantStrategy(math.inf)})
         with pytest.raises(NonFiniteParameterError):
             run(sim)
 
     def test_trimmed_nan_payload_detected(self):
         # trimming holds off ±inf, but a NaN broadcaster still stops the run
         mdp = generate_random_mdp(5, 3, 2, (0.0, 4.0), seed=35)
-        g = GraphSchedule.complete(5, adversary_set={4}, trim_f=1)
-        sim = make_sim(mdp, g, 20, strategies={4: ConstantStrategy(math.nan)})
+        sim = make_sim(mdp, GraphSchedule.complete(5), 20, strategies={4: ConstantStrategy(math.nan)},
+                       trim_f=1)
         with pytest.raises(NonFiniteParameterError):
             run(sim)
 
     def test_regular_span_violation_names_lowest_agent(self):
         # with f=0 agents 1 and 2 both mix in the far broadcast of agent 0
         mdp = generate_random_mdp(3, 3, 2, (0.0, 1.0), seed=3)
-        g = GraphSchedule.ring(3, adversary_set={0}, trim_f=0)
-        sim = make_sim(mdp, g, 5, strategies={0: ConstantStrategy(100.0)}, check_regular_hull=True)
+        sim = make_sim(mdp, GraphSchedule.ring(3), 5, strategies={0: ConstantStrategy(100.0)},
+                       check_regular_hull=True)
         with pytest.raises(SafetyViolationError, match="round 0: agent 1 left the span of regular values"):
             run(sim)
 
     def test_trim_events_recorded(self):
         mdp = generate_random_mdp(5, 3, 2, (0.0, 1.0), seed=4)
-        g = GraphSchedule.complete(5, adversary_set={4}, trim_f=1)
-        sim = make_sim(mdp, g, 30, strategies={4: ConstantStrategy(100.0)},
-                       check_regular_hull=True)
+        sim = make_sim(mdp, GraphSchedule.complete(5), 30, strategies={4: ConstantStrategy(100.0)},
+                       trim_f=1, check_regular_hull=True)
         log = run(sim)
         assert log.trim_events, "far-out broadcast should be trimmed"
         trimmed_senders = {senders for _, _, senders in log.trim_events}
@@ -263,21 +264,19 @@ def _reference_case(name):
     """(simulation, run_reference keyword arguments) for one covered feature."""
     if name == "trim_constant":
         mdp = generate_random_mdp(5, 3, 2, (0.0, 4.0), seed=30)
-        g = GraphSchedule.complete(5, adversary_set={4}, trim_f=1)
-        sim = make_sim(mdp, g, 150, strategies={4: ConstantStrategy(7.5)})
+        sim = make_sim(mdp, GraphSchedule.complete(5), 150, strategies={4: ConstantStrategy(7.5)}, trim_f=1)
         return sim, dict(trim_f=1, adversaries={4: ("constant", 7.5)})
     if name in ("trim_inf", "trim_neg_inf"):
         # a trimmed ±inf must add nothing to the mix, not 0 * inf = NaN
         value = math.inf if name == "trim_inf" else -math.inf
         mdp = generate_random_mdp(5, 3, 2, (0.0, 4.0), seed=35)
-        g = GraphSchedule.complete(5, adversary_set={4}, trim_f=1)
-        sim = make_sim(mdp, g, 40, strategies={4: ConstantStrategy(value)})
+        sim = make_sim(mdp, GraphSchedule.complete(5), 40, strategies={4: ConstantStrategy(value)}, trim_f=1)
         return sim, dict(trim_f=1, adversaries={4: ("constant", value)})
     if name == "trim_ties_f2":
         # two adversaries sending the same value force ties at every coordinate
         mdp = generate_random_mdp(6, 2, 2, (0.0, 4.0), seed=31)
-        g = GraphSchedule.complete(6, adversary_set={1, 4}, trim_f=2)
-        sim = make_sim(mdp, g, 150, strategies={1: ConstantStrategy(0.0), 4: ConstantStrategy(0.0)})
+        sim = make_sim(mdp, GraphSchedule.complete(6), 150, trim_f=2,
+                       strategies={1: ConstantStrategy(0.0), 4: ConstantStrategy(0.0)})
         return sim, dict(trim_f=2, adversaries={1: ("constant", 0.0), 4: ("constant", 0.0)})
     if name == "drift_periodic":
         # phase 0 leaves agents 0 and 3 with two neighbours (k <= 2f: all trimmed)
@@ -286,8 +285,8 @@ def _reference_case(name):
             [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 5)],
         ]
         mdp = generate_random_mdp(6, 3, 2, (0.0, 4.0), seed=32)
-        g = GraphSchedule.periodic(6, phases, adversary_set={5}, trim_f=1)
-        sim = make_sim(mdp, g, 150, strategies={5: DriftStrategy(0.5, 0.02)})
+        sim = make_sim(mdp, GraphSchedule.periodic(6, phases), 150,
+                       strategies={5: DriftStrategy(0.5, 0.02)}, trim_f=1)
         return sim, dict(phases=phases, trim_f=1, adversaries={5: ("drift", 0.5, 0.02)})
     if name == "noise_periodic_projection":
         # phase 0 leaves agents 0 and 3 with k <= 2f, phase 1 ranks three senders
@@ -296,15 +295,14 @@ def _reference_case(name):
             [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 5)],
         ]
         mdp = generate_random_mdp(6, 3, 2, (0.0, 4.0), seed=39)
-        g = GraphSchedule.periodic(6, phases, adversary_set={1}, trim_f=1)
-        sim = make_sim(mdp, g, 120, features=projection_features(mdp, dim=8, seed=3),
-                       strategies={1: NoiseStrategy(2.0, seed=11)})
+        sim = make_sim(mdp, GraphSchedule.periodic(6, phases), 120,
+                       features=projection_features(mdp, dim=8, seed=3),
+                       strategies={1: NoiseStrategy(2.0, seed=11)}, trim_f=1)
         return sim, dict(phases=phases, trim_f=1, features=_feature_matrix(sim),
                          adversaries={1: ("noise", 2.0, 11)})
     if name == "selfish_star":
         mdp = generate_random_mdp(4, 3, [3, 2, 2, 5], (0.0, 4.0), seed=40)
-        g = GraphSchedule.star(4, adversary_set={3}, trim_f=1)
-        sim = make_sim(mdp, g, 120, strategies={3: SelfishStrategy()})
+        sim = make_sim(mdp, GraphSchedule.star(4), 120, strategies={3: SelfishStrategy()}, trim_f=1)
         return sim, dict(trim_f=1, adversaries={3: ("selfish",)})
     if name == "heterogeneous_noise":
         mdp = generate_random_mdp(4, 3, [3, 2, 9, 2], (0.0, 4.0), seed=33)
@@ -312,9 +310,8 @@ def _reference_case(name):
         return sim, dict(reward_noise=0.5)
     if name == "projection":
         mdp = generate_random_mdp(4, 3, [2, 3, 2, 2], (0.0, 4.0), seed=34)
-        g = GraphSchedule.complete(4, adversary_set={2}, trim_f=1)
-        sim = make_sim(mdp, g, 150, features=projection_features(mdp, dim=9, seed=5),
-                       strategies={2: ConstantStrategy(-3.0)})
+        sim = make_sim(mdp, GraphSchedule.complete(4), 150, features=projection_features(mdp, dim=9, seed=5),
+                       strategies={2: ConstantStrategy(-3.0)}, trim_f=1)
         return sim, dict(features=_feature_matrix(sim), trim_f=1, adversaries={2: ("constant", -3.0)})
     if name == "complete9_f0":
         # degree 8: the neighbour weights must still be summed in ascending id
@@ -328,8 +325,8 @@ def _reference_case(name):
         return sim, dict(features=_feature_matrix(sim))
     if name == "complete9_f2_ties":
         mdp = generate_random_mdp(9, 2, 2, (0.0, 4.0), seed=37)
-        g = GraphSchedule.complete(9, adversary_set={2, 6}, trim_f=2)
-        sim = make_sim(mdp, g, 40, strategies={2: ConstantStrategy(1.5), 6: ConstantStrategy(1.5)})
+        sim = make_sim(mdp, GraphSchedule.complete(9), 40, trim_f=2,
+                       strategies={2: ConstantStrategy(1.5), 6: ConstantStrategy(1.5)})
         return sim, dict(trim_f=2, adversaries={2: ("constant", 1.5), 6: ("constant", 1.5)})
     raise ValueError(name)
 
@@ -369,9 +366,9 @@ class TestEngineMatchesReference:
         """The patience rule stops the run in the reference's round, after rounds that
         were not calm, and the stop round's row is logged off the log interval."""
         mdp = generate_random_mdp(5, 3, 2, (0.0, 4.0), seed=41)
-        g = GraphSchedule.complete(5, adversary_set={4}, trim_f=1)
+        g = GraphSchedule.complete(5)
         stop = EarlyStop(disagreement=0.08, actor_update=0.02, patience=8)
-        sim = make_sim(mdp, g, 400, strategies={4: ConstantStrategy(7.5)}, log_interval=7,
+        sim = make_sim(mdp, g, 400, strategies={4: ConstantStrategy(7.5)}, trim_f=1, log_interval=7,
                        snapshot_params=True, early_stop=stop)
         log = run(sim)
         edges = sorted(tuple(e) for e in g.edges_at(0))
@@ -400,8 +397,8 @@ class TestReceiverGroups:
     def test_senders_listed_by_ascending_id(self):
         """Trim breaks ties and combine sums in the order of each group's rows."""
         phases = [[(5, 0), (4, 1), (3, 0), (2, 1), (1, 0), (4, 3)], [(5, 4), (3, 2), (1, 0), (5, 0)]]
-        g = GraphSchedule.periodic(6, phases, adversary_set={2}, trim_f=1)
-        for p, groups in enumerate(_receiver_groups(g)):
+        g = GraphSchedule.periodic(6, phases)
+        for p, groups in enumerate(_receiver_groups(g, {2}, 1)):
             seen = []
             for grp in groups:
                 for i, row, regular in zip(grp.ids, grp.nbr, grp.regular):

@@ -67,8 +67,6 @@ class TestSchedule:
             GraphSchedule.from_edges(3, [(1, 1)])
         with pytest.raises(GraphError, match="outside"):
             GraphSchedule.from_edges(3, [(0, 5)])
-        with pytest.raises(GraphError, match="adversary"):
-            GraphSchedule.ring(4, adversary_set={9})
 
     def test_edges_symmetric_and_deduped(self):
         g = GraphSchedule.from_edges(4, [(1, 0), (0, 1), (2, 3)])
@@ -250,8 +248,7 @@ class TestRobustness:
 
 class TestAdversaryFractions:
     def test_ring_fractions(self):
-        g = GraphSchedule.ring(6, adversary_set={0})
-        frac = adversary_fractions(g)
+        frac = adversary_fractions(GraphSchedule.ring(6), {0})
         assert frac[1] == 0.5 and frac[5] == 0.5
         assert frac[3] == 0.0
         assert frac[0] == 0.0

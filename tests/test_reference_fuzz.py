@@ -55,32 +55,30 @@ def _pairs(n):
 
 
 @st.composite
-def _graph(draw, n, adversary_ids, f):
+def _graph(draw, n):
     """A named topology, one explicit edge list or a two-phase schedule."""
-    kw = dict(adversary_set=set(adversary_ids), trim_f=f)
     topology = draw(st.sampled_from(["ring", "complete", "star", "edges", "two_phase"]))
     if topology in ("edges", "two_phase"):
         edges = st.lists(st.sampled_from(_pairs(n)), min_size=1, unique=True)
         phases = [draw(edges) for _ in range(1 if topology == "edges" else 2)]
-        return GraphSchedule.periodic(n, phases, **kw)
-    return getattr(GraphSchedule, topology)(n, **kw)
+        return GraphSchedule.periodic(n, phases)
+    return getattr(GraphSchedule, topology)(n)
 
 
 @st.composite
 def _guarded_graph(draw, n, adversary):
-    """f=1 and a regular agent of degree >= 3 next to the lone adversary.
+    """A regular agent of degree >= 3 next to the lone adversary; ``_case`` pairs it with f=1.
 
     Complete(n), or explicit edges from a regular hub to the adversary and
     two or more other agents, plus any further edges.
     """
-    kw = dict(adversary_set={adversary}, trim_f=1)
     if draw(st.booleans()):
-        return GraphSchedule.complete(n, **kw)
+        return GraphSchedule.complete(n)
     hub = draw(st.sampled_from([i for i in range(n) if i != adversary]))
     others = [i for i in range(n) if i not in (hub, adversary)]
     spokes = draw(st.lists(st.sampled_from(others), min_size=2, unique=True))
     extra = draw(st.lists(st.sampled_from(_pairs(n)), unique=True))
-    return GraphSchedule.from_edges(n, [(hub, j) for j in [adversary, *spokes]] + extra, **kw)
+    return GraphSchedule.from_edges(n, [(hub, j) for j in [adversary, *spokes]] + extra)
 
 
 @st.composite
@@ -99,7 +97,7 @@ def _case(draw):
         adversary_ids = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
         f = draw(st.integers(0, 2))
     adversaries = {i: draw(_adversary(seeds)) for i in adversary_ids}
-    graph = draw(_guarded_graph(n, adversary_ids[0]) if guarded else _graph(n, adversary_ids, f))
+    graph = draw(_guarded_graph(n, adversary_ids[0]) if guarded else _graph(n))
 
     projection = draw(st.booleans())
     if projection:
@@ -118,10 +116,11 @@ def _case(draw):
         seed=draw(seeds),
         strategies={i: strategy for i, (strategy, _) in adversaries.items()},
         log_interval=1,
-        check_regular_hull=is_r_local(graph, graph.adversary_set, f),
+        check_regular_hull=is_r_local(graph, adversary_ids, f),
         snapshot_params=True,
         reward_noise=reward_noise,
         initial_state=draw(st.integers(0, n_states - 1)),
+        trim_f=f,
     )
     extra = dict(
         phases=[sorted(p) for p in graph.phases],
