@@ -42,7 +42,12 @@ class ConfigError(ValueError):
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
+
+    def __reduce__(self):
+        # pickling rebuilds from args, which hold one string; a sweep worker sends both fields
+        return type(self), (self.path, self.message)
 
 
 _TOP = "<config>"
@@ -485,7 +490,10 @@ def load_config(path) -> ExperimentConfig:
 def _build_mdp(cfg: ExperimentConfig) -> Mdp:
     spec = cfg.mdp
     if spec.kind == "file":
-        mdp = Mdp.load(spec.path)
+        try:
+            mdp = Mdp.load(spec.path)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError("mdp.path", f"not a valid model file: {type(exc).__name__}: {exc}") from exc
         if mdp.n_agents != cfg.n_agents:
             raise ConfigError("mdp.path", f"file has {mdp.n_agents} agents, config says {cfg.n_agents}")
         _check_sizes(cfg, mdp.n_states, mdp.n_joint_actions)
@@ -497,10 +505,7 @@ def _build_mdp(cfg: ExperimentConfig) -> Mdp:
     key = (cfg.n_agents, spec.n_states, acts, spec.reward_range, seed)
     mdp = _live_random_mdps.get(key)
     if mdp is None:
-        mdp = generate_random_mdp(*key[:4], seed=seed)
-        mdp.transition.flags.writeable = False
-        mdp.rewards.flags.writeable = False
-        _live_random_mdps[key] = mdp
+        mdp = _live_random_mdps[key] = generate_random_mdp(*key[:4], seed=seed)
     return mdp
 
 

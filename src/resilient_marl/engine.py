@@ -6,9 +6,11 @@ it (the CLI's sink streams them into trajectory.jsonl). Each round
 performs, in order: environment transition and reward observation (with
 the running-reward update), action selection at the new state, the
 TD/critic/advantage/actor updates, message exchange, and the trim-and-mix
-consensus step. Regular agents follow the full update; adversarial agents
-keep their own staged critic value and send whatever their strategy
-fabricates.
+consensus step. A ``Simulation`` names the adversarial agents by the keys
+of its ``strategies`` and the trim parameter F by its ``trim_f``; its
+graph is topology only. Regular agents follow the full update;
+adversarial agents keep their own staged critic value and send whatever
+their strategy fabricates.
 
 Every step is a whole-network array pass through the op-layer rules of
 ``agents`` and ``consensus``, called once per block or group (the

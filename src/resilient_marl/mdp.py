@@ -63,10 +63,11 @@ class Mdp:
     (n_agents, n_states, n_joint_actions) and holds each agent's private
     reward table.
 
-    ``build_simulation`` shares a generated model between the live
-    simulations of one process that ask for the same one; that model's
-    ``transition`` and ``rewards`` are read-only. ``transition_cdf`` is
-    always read-only.
+    The model owns its arrays: ``transition`` and ``rewards`` are copied
+    at construction and, like ``transition_cdf``, read-only, so a later
+    write to the caller's arrays cannot change the model or leave its CDF
+    stale. ``build_simulation`` shares a generated model between the live
+    simulations of one process that ask for the same one.
     """
 
     n_agents: int
@@ -76,8 +77,10 @@ class Mdp:
     rewards: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "transition", np.asarray(self.transition, dtype=np.float64))
-        object.__setattr__(self, "rewards", np.asarray(self.rewards, dtype=np.float64))
+        for name in ("transition", "rewards"):
+            own = np.array(getattr(self, name), dtype=np.float64)
+            own.flags.writeable = False
+            object.__setattr__(self, name, own)
         object.__setattr__(self, "action_counts", tuple(int(c) for c in self.action_counts))
         if self.n_agents < 1 or len(self.action_counts) != self.n_agents:
             raise ValueError("action_counts must list one action-set size per agent")

@@ -238,6 +238,27 @@ class TestBuildSimulation:
         with pytest.raises(ConfigError, match="agents"):
             build_simulation(self._file_config(path))
 
+    @pytest.mark.parametrize("fault", ["missing_key", "not_a_mapping", "invalid_json", "wrong_length",
+                                       "rows_not_stochastic"])
+    def test_malformed_mdp_file_exits_2(self, tmp_path, capsys, fault):
+        """A model file the run cannot use is a config error naming mdp.path, not a traceback."""
+        doc = generate_random_mdp(3, 3, 2, (0.0, 1.0), seed=3).to_dict()
+        if fault == "missing_key":
+            del doc["rewards"]
+        elif fault == "not_a_mapping":
+            doc = [doc]
+        elif fault == "wrong_length":
+            doc["transition"] = doc["transition"][:-1]
+        elif fault == "rows_not_stochastic":
+            doc["transition"] = [0.5 * p for p in doc["transition"]]
+        model = tmp_path / "model.json"
+        model.write_text("{n_states: 3}" if fault == "invalid_json" else json.dumps(doc))
+        config = tmp_path / "experiment.yaml"
+        config.write_text(yaml.safe_dump(dict(yaml.safe_load(MINIMAL), mdp={"kind": "file", "path": str(model)})))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: mdp.path: ") and err.count("\n") == 1, err
+
     def test_random_placement_is_f_local_and_seeded(self):
         cfg = small_config(
             n_agents=6,
@@ -689,6 +710,19 @@ class TestSweep:
         assert main(["sweep", "--config", str(config), "--out", str(out), "--quiet"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
         assert not (tmp_path / "box").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_config_error_in_a_run_reads_the_same_from_a_worker(self, tmp_path, capsys, jobs):
+        """A fault found only when a run builds (a file MDP with the wrong agent
+        count) crosses the process pool intact and exits 2 with the same line."""
+        model = tmp_path / "model.json"
+        generate_random_mdp(2, 3, 2, (0.0, 1.0), seed=3).save(model)
+        base = dict(yaml.safe_load(MINIMAL), rounds=5, mdp={"kind": "file", "path": str(model)})
+        config = tmp_path / "sweep.yaml"
+        config.write_text(yaml.safe_dump({"base": base, "runs": [{"name": "a"}, {"name": "b"}]}))
+        argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "o"), "--jobs", jobs, "--quiet"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: mdp.path: file has 2 agents, config says 3\n"
 
     def test_null_overrides_run_the_base(self, tmp_path):
         base = dict(yaml.safe_load(MINIMAL), rounds=5, seed=3)

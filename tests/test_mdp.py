@@ -125,6 +125,22 @@ class TestMdpValidation:
         with pytest.raises(ValueError, match="finite"):
             Mdp(1, 2, (2,), trans, rewards)
 
+    def test_owns_read_only_arrays(self):
+        """A write to the caller's arrays after construction changes neither the
+        model nor its cached CDF, and the model's own arrays refuse writes."""
+        trans = np.full((3, 2, 3), 1 / 3)
+        rewards = np.zeros((1, 3, 2))
+        mdp = Mdp(1, 3, (2,), trans, rewards)
+        cdf = mdp.transition_cdf.copy()
+        trans[0, 0] = [1.0, 0.0, 0.0]
+        rewards[0, 0, 0] = 5.0
+        assert np.array_equal(mdp.transition, np.full((3, 2, 3), 1 / 3))
+        assert np.array_equal(mdp.transition_cdf, cdf)
+        assert not mdp.rewards.any()
+        for table in (mdp.transition, mdp.rewards):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0
+
     def test_serialization_round_trip(self, tmp_path):
         mdp = generate_random_mdp(2, 3, 2, (-1.0, 2.0), seed=5)
         path = tmp_path / "model.json"
